@@ -7,6 +7,8 @@ replay, compares the registry against externally published benchmark
 statistics, and splits the implied contingency into delegation tiers.
 """
 
+import logging
+
 from .benchmarking import (
     BenchmarkReport,
     BenchmarkRow,
@@ -87,6 +89,10 @@ from .stats import DescriptiveStats, TestResult, descriptive_stats, mann_whitney
 from .validation import LoovRow, LoovSummary, leave_one_out, loov_summary, write_loov_csv
 
 __version__ = "0.1.0"
+
+# Logging output is the application's choice. Without a handler here, a
+# warning would reach stderr through logging's last-resort handler.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "BenchmarkConstants",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Mapping, Sequence
 
 from .reference_class import ReferenceClass
@@ -199,19 +199,7 @@ def benchmark_report_as_dict(report: BenchmarkReport) -> dict:
     return {
         "mapping_note": report.mapping_note,
         "test_names": TEST_NAMES,
-        "benchmark": None
-        if report.constants is None
-        else {
-            "label": report.constants.label,
-            "n_projects": report.constants.n_projects,
-            "mean_cost_overrun": report.constants.mean_cost_overrun,
-            "cost_overrun_frequency": report.constants.cost_overrun_frequency,
-            "cost_overrun_sd": report.constants.cost_overrun_sd,
-            "mean_schedule_overrun": report.constants.mean_schedule_overrun,
-            "schedule_overrun_frequency": report.constants.schedule_overrun_frequency,
-            "schedule_overrun_sd": report.constants.schedule_overrun_sd,
-            "mean_duration_years": report.constants.mean_duration_years,
-        },
+        "benchmark": None if report.constants is None else asdict(report.constants),
         "mean_duration_years": report.mean_duration_years,
         "rows": [
             {

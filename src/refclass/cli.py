@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -48,6 +48,7 @@ from .reference_class import (
     default_probability_grid,
     isotonic_adjust,
     smooth_curve,
+    uplift as class_uplift,
     uplift_curve,
 )
 from .registry import (
@@ -60,42 +61,64 @@ from .registry import (
 )
 from .validation import leave_one_out, loov_summary, write_loov_csv
 
-_CONFIG_KEYS = (
-    "projects",
-    "deflators",
-    "benchmark",
-    "era_cutoff",
-    "min_outturn",
-    "method",
-    "span",
-    "degree",
-    "grid_step",
-    "out",
-)
+
+class _IsoDate(click.ParamType):
+    """A calendar date in ISO form, from a flag or a config file alike."""
+
+    name = "date"
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, date):
+            return value
+        try:
+            return date.fromisoformat(value)
+        except ValueError:
+            self.fail(f"{value!r} is not an ISO date", param, ctx)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved settings for one command invocation."""
+class _FloatRange(click.FloatRange):
+    """A float range that also rejects NaN, which no bound comparison catches."""
 
-    projects: Path
-    deflators: Path | None
-    benchmark: Path | None
-    era_cutoff: date
-    min_outturn: int
-    method: str
-    span: float
-    degree: int
-    grid_step: float
-    out: Path
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if math.isnan(value):
+            self.fail(f"{value} is not a number", param, ctx)
+        return value
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    data: dict[str, str] = {}
+#: The settings every command takes, keyed by config-file key; each is also
+#: the option ``--<key>`` with ``-`` for ``_``. A config-file value reaches
+#: the command through click's default map, so it is parsed and validated by
+#: the same type as the flag, and a flag given on the command line wins.
+_SETTINGS: dict[str, dict] = {
+    "projects": dict(help="Project registry CSV."),
+    "deflators": dict(help="Deflator series CSV."),
+    "benchmark": dict(help="Benchmark constants JSON."),
+    "era_cutoff": dict(type=_IsoDate(), default=DEFAULT_ERA_CUTOFF,
+                       help="Exclude projects whose Category C upgrade predates this ISO date."),
+    "min_outturn": dict(type=int, default=DEFAULT_MIN_OUTTURN,
+                        help="Smallest outturn (HKD thousands) admitted to a class."),
+    "method": dict(type=click.Choice(["inf", "interp", "both"], case_sensitive=False),
+                   default="interp", help="Quantile convention (default interp)."),
+    "span": dict(type=_FloatRange(0, 1, min_open=True), default=0.75,
+                 help="Loess span fraction."),
+    "degree": dict(type=click.IntRange(1, 2), default=2, help="Loess degree."),
+    "grid_step": dict(type=_FloatRange(0, 0.99, min_open=True), default=0.01,
+                      help="Certainty grid step."),
+    "out": dict(default="out", help="Output directory (default ./out)."),
+}
+
+
+def _read_config(ctx: click.Context, _param, path: str | None) -> None:
+    """Load a flat ``key = value`` file as the command's default map."""
+
+    if path is None:
+        return
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise click.UsageError(f"cannot read config file: {exc}")
+    defaults: dict[str, str] = {}
     for line_number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -104,69 +127,10 @@ def _load_config_file(path: str) -> dict[str, str]:
         if not sep:
             raise click.UsageError(f"config line {line_number}: expected key = value")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise click.UsageError(f"config line {line_number}: unknown key {key!r}")
-        data[key] = value.strip()
-    return data
-
-
-def _parse_with(parser, value: str, what: str):
-    try:
-        return parser(value)
-    except ValueError as exc:
-        raise click.UsageError(f"invalid {what}: {exc}")
-
-
-def _build_config(params: dict) -> RunConfig:
-    file_data = _load_config_file(params["config"]) if params.get("config") else {}
-
-    def pick(key: str, flag_value, parser, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_data:
-            return _parse_with(parser, file_data[key], key.replace("_", "-"))
-        return default
-
-    projects = pick("projects", params.get("projects"), str, None)
-    if projects is None:
-        raise click.UsageError("no projects file given (use --projects or a config file)")
-    deflators = pick("deflators", params.get("deflators"), str, None)
-    benchmark = pick("benchmark", params.get("benchmark"), str, None)
-    return RunConfig(
-        projects=Path(projects),
-        deflators=None if deflators is None else Path(deflators),
-        benchmark=None if benchmark is None else Path(benchmark),
-        era_cutoff=pick("era_cutoff", params.get("era_cutoff"), date.fromisoformat, DEFAULT_ERA_CUTOFF),
-        min_outturn=pick("min_outturn", params.get("min_outturn"), int, DEFAULT_MIN_OUTTURN),
-        method=pick("method", params.get("method"), _parse_method_token, "interp"),
-        span=pick("span", params.get("span"), float, 0.75),
-        degree=pick("degree", params.get("degree"), _parse_degree_token, 2),
-        grid_step=pick("grid_step", params.get("grid_step"), float, 0.01),
-        out=Path(pick("out", params.get("out"), str, "out")),
-    )
-
-
-def _parse_method_token(token: str) -> str:
-    token = token.strip().lower()
-    if token not in ("inf", "interp", "both"):
-        raise ValueError(f"expected inf, interp or both, got {token!r}")
-    return token
-
-
-def _parse_degree_token(token: str) -> int:
-    value = int(token)
-    if value not in (1, 2):
-        raise ValueError(f"degree must be 1 or 2, got {value}")
-    return value
-
-
-def _parse_era_cutoff(_ctx, _param, value):
-    if value is None:
-        return None
-    try:
-        return date.fromisoformat(value)
-    except ValueError:
-        raise click.UsageError(f"invalid --era-cutoff: {value!r} is not an ISO date")
+        defaults[key] = value.strip()
+    ctx.default_map = defaults
 
 
 def _parse_p_list(_ctx, _param, value):
@@ -206,25 +170,11 @@ def _parse_scheme(_ctx, _param, value):
 
 
 def _common_options(command):
-    options = [
-        click.option("--config", type=str, default=None, help="Flat key = value settings file."),
-        click.option("--projects", type=str, default=None, help="Project registry CSV."),
-        click.option("--deflators", type=str, default=None, help="Deflator series CSV."),
-        click.option("--benchmark", type=str, default=None, help="Benchmark constants JSON."),
-        click.option("--era-cutoff", type=str, default=None, callback=_parse_era_cutoff,
-                     help="Exclude projects whose Category C upgrade predates this ISO date."),
-        click.option("--min-outturn", type=int, default=None,
-                     help="Smallest outturn (HKD thousands) admitted to a class."),
-        click.option("--method", type=click.Choice(["inf", "interp", "both"]), default=None,
-                     help="Quantile convention (default interp)."),
-        click.option("--span", type=float, default=None, help="Loess span fraction."),
-        click.option("--degree", type=click.IntRange(1, 2), default=None, help="Loess degree."),
-        click.option("--grid-step", type=float, default=None, help="Certainty grid step."),
-        click.option("--out", type=str, default=None, help="Output directory (default ./out)."),
-    ]
-    for option in reversed(options):
-        command = option(command)
-    return command
+    for key, attributes in reversed(_SETTINGS.items()):
+        command = click.option("--" + key.replace("_", "-"), **attributes)(command)
+    # Eager, so the file is read before any setting looks up its default.
+    return click.option("--config", is_eager=True, expose_value=False, callback=_read_config,
+                        help="Flat key = value settings file.")(command)
 
 
 _STAGE_OPTION = click.option(
@@ -240,72 +190,80 @@ def cli() -> None:
     """Reference-class forecasting over a registry of completed projects."""
 
 
-def _load_records(rc: RunConfig):
-    with open(rc.projects, newline="") as handle:
-        return parse_project_records(handle)
+def _required(path: str | None, key: str) -> str:
+    if path is None:
+        raise click.UsageError(f"no {key} file given (use --{key} or a config file)")
+    return path
 
 
-def _load_deflators(rc: RunConfig):
-    if rc.deflators is None:
-        raise click.UsageError("no deflators file given (use --deflators or a config file)")
-    with open(rc.deflators, newline="") as handle:
-        return parse_deflator_series(handle)
+def _observations(projects: str | None, deflators: str | None, era_cutoff: date):
+    with open(_required(projects, "projects"), newline="") as handle:
+        records = parse_project_records(handle)
+    with open(_required(deflators, "deflators"), newline="") as handle:
+        series = parse_deflator_series(handle)
+    return records, derive_all_observations(records, series, era_cutoff)
 
 
-def _load_benchmark(rc: RunConfig):
-    if rc.benchmark is None:
+def _load_benchmark(path: str | None):
+    if path is None:
         return None
-    with open(rc.benchmark) as handle:
+    with open(path) as handle:
         return parse_benchmark_constants(handle)
 
 
-def _observations(rc: RunConfig):
-    records = _load_records(rc)
-    deflators = _load_deflators(rc)
-    return records, derive_all_observations(records, deflators, rc.era_cutoff)
-
-
-def _class_for(rc: RunConfig, observations, stage: Stage, metric: Metric):
-    reference = build_class(
-        observations,
-        ClassFilter(stage=stage, metric=metric, min_outturn=rc.min_outturn),
+def _class_for(observations, stage: str, metric: str, min_outturn: int):
+    target = ClassFilter(
+        stage=Stage.from_token(stage), metric=Metric.from_token(metric), min_outturn=min_outturn
     )
+    reference = build_class(observations, target)
     if reference.is_empty:
         raise EmptyClassError(
             f"reference class is empty: stage {stage}, metric {metric}, "
-            f"min outturn {rc.min_outturn}"
+            f"min outturn {min_outturn}"
         )
     return reference
 
 
-def _emit(rc: RunConfig, filename: str, text: str) -> None:
-    rc.out.mkdir(parents=True, exist_ok=True)
-    (rc.out / filename).write_text(text)
+def _curve_grid(grid_step: float, levels, option: str) -> tuple[float, ...]:
+    """The certainty grid of a smoothed curve, checked to cover ``levels``."""
+
+    grid = default_probability_grid(grid_step)
+    lowest = min(levels)
+    if lowest < grid[0]:
+        raise click.UsageError(
+            f"certainty {lowest} in {option} is below the curve's first grid point {grid[0]}"
+        )
+    return grid
 
 
-def _quantile_methods(rc: RunConfig) -> list[QuantileMethod]:
-    if rc.method == "both":
+def _emit(out: str, filename: str, text: str) -> None:
+    directory = Path(out)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / filename).write_text(text)
+
+
+def _quantile_methods(method: str) -> list[QuantileMethod]:
+    if method == "both":
         return [QuantileMethod.INTERPOLATED, QuantileMethod.INF]
-    return [QuantileMethod.from_token(rc.method)]
+    return [QuantileMethod.from_token(method)]
 
 
-def _single_method(rc: RunConfig, command: str) -> QuantileMethod:
-    if rc.method == "both":
+def _single_method(method: str, command: str) -> QuantileMethod:
+    if method == "both":
         raise click.UsageError(f"{command} needs a single quantile method, not both")
-    return QuantileMethod.from_token(rc.method)
+    return QuantileMethod.from_token(method)
 
 
 @cli.command("overruns")
 @_common_options
 @_STAGE_OPTION
 @_METRIC_OPTION
-def cmd_overruns(stage: str, metric: str, **params) -> None:
+def cmd_overruns(stage: str, metric: str, projects, deflators, era_cutoff, out, **_unused) -> None:
     """Normalized overrun observations for one stage and metric."""
 
-    rc = _build_config(params)
     target_stage = Stage.from_token(stage)
     target_metric = Metric.from_token(metric)
-    _, observations = _observations(rc)
+    _, observations = _observations(projects, deflators, era_cutoff)
     selected = [
         o for o in observations if o.stage is target_stage and o.metric is target_metric
     ]
@@ -317,7 +275,7 @@ def cmd_overruns(stage: str, metric: str, **params) -> None:
             f"{o.reference_date.isoformat()},{'yes' if o.pre_era else 'no'},{o.outturn_nominal}\n"
         )
     text = buffer.getvalue()
-    _emit(rc, f"overruns_{stage}_{metric}.csv", text)
+    _emit(out, f"overruns_{stage}_{metric}.csv", text)
     click.echo(text, nl=False)
 
 
@@ -328,34 +286,33 @@ def cmd_overruns(stage: str, metric: str, **params) -> None:
 @click.option("--p", "p_levels", type=str, default=None, callback=_parse_p_list,
               help="Comma-separated certainty levels (default 0.5,0.8).")
 @click.option("--smooth", is_flag=True, help="Also report the smoothed, monotone uplift.")
-def cmd_uplift(stage: str, metric: str, p_levels, smooth: bool, **params) -> None:
+def cmd_uplift(stage: str, metric: str, p_levels, smooth: bool, projects, deflators, era_cutoff,
+               min_outturn, method, span, degree, grid_step, out, **_unused) -> None:
     """Required uplifts at chosen certainty levels."""
 
-    rc = _build_config(params)
     levels = p_levels or (0.5, 0.8)
-    _, observations = _observations(rc)
-    reference = _class_for(rc, observations, Stage.from_token(stage), Metric.from_token(metric))
+    grid = _curve_grid(grid_step, levels, "--p") if smooth else None
+    _, observations = _observations(projects, deflators, era_cutoff)
+    reference = _class_for(observations, stage, metric, min_outturn)
 
-    methods = _quantile_methods(rc)
+    methods = _quantile_methods(method)
     smoothed_curve = None
     if smooth:
-        raw = uplift_curve(reference, default_probability_grid(rc.grid_step), methods[0])
-        smoothed_curve = isotonic_adjust(smooth_curve(raw, span=rc.span, degree=rc.degree))
+        raw = uplift_curve(reference, grid, methods[0])
+        smoothed_curve = isotonic_adjust(smooth_curve(raw, span=span, degree=degree))
 
     buffer = io.StringIO()
     header = ["p"] + [f"uplift_{m.value}" for m in methods]
     if smoothed_curve is not None:
         header.append("uplift_smoothed")
     buffer.write(",".join(header) + "\n")
-    from .reference_class import uplift as class_uplift
-
     for p in levels:
         cells = [f"{p:.2f}"] + [f"{class_uplift(reference, p, m):.6f}" for m in methods]
         if smoothed_curve is not None:
             cells.append(f"{smoothed_curve.value_at(p):.6f}")
         buffer.write(",".join(cells) + "\n")
     text = buffer.getvalue()
-    _emit(rc, f"uplift_{stage}_{metric}.csv", text)
+    _emit(out, f"uplift_{stage}_{metric}.csv", text)
     click.echo(text, nl=False)
 
 
@@ -365,19 +322,19 @@ def cmd_uplift(stage: str, metric: str, p_levels, smooth: bool, **params) -> Non
 @_METRIC_OPTION
 @click.option("--p", "p_levels", type=str, default=None, callback=_parse_p_list,
               help="Comma-separated certainty levels (default 0.5,0.8).")
-def cmd_validate(stage: str, metric: str, p_levels, **params) -> None:
+def cmd_validate(stage: str, metric: str, p_levels, projects, deflators, era_cutoff, min_outturn,
+                 method, out, **_unused) -> None:
     """Leave-one-out check: would the uplift have covered each project?"""
 
-    rc = _build_config(params)
     levels = p_levels or (0.5, 0.8)
-    _, observations = _observations(rc)
-    reference = _class_for(rc, observations, Stage.from_token(stage), Metric.from_token(metric))
+    _, observations = _observations(projects, deflators, era_cutoff)
+    reference = _class_for(observations, stage, metric, min_outturn)
 
-    rows = leave_one_out(reference, levels, _single_method(rc, "validate"))
+    rows = leave_one_out(reference, levels, _single_method(method, "validate"))
     buffer = io.StringIO()
     write_loov_csv(rows, buffer)
     text = buffer.getvalue()
-    _emit(rc, f"loov_{stage}_{metric}.csv", text)
+    _emit(out, f"loov_{stage}_{metric}.csv", text)
     click.echo(text, nl=False)
     for p in sorted(set(levels)):
         summary = loov_summary(rows, p)
@@ -391,18 +348,18 @@ def cmd_validate(stage: str, metric: str, p_levels, **params) -> None:
 @_common_options
 @click.option("--benchmark-label", type=str, default=None,
               help="Which label to use from the benchmark file (default: international-roads, else first).")
-def cmd_benchmark(benchmark_label, **params) -> None:
+def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, min_outturn, out,
+                  **_unused) -> None:
     """Descriptive comparison of every class against benchmark constants."""
 
-    rc = _build_config(params)
-    records, observations = _observations(rc)
+    records, observations = _observations(projects, deflators, era_cutoff)
 
     classes = {}
     for stage in Stage:
         for metric in Metric:
             reference = build_class(
                 observations,
-                ClassFilter(stage=stage, metric=metric, min_outturn=rc.min_outturn),
+                ClassFilter(stage=stage, metric=metric, min_outturn=min_outturn),
             )
             if not reference.is_empty:
                 classes[(stage, metric)] = reference
@@ -410,7 +367,7 @@ def cmd_benchmark(benchmark_label, **params) -> None:
         raise EmptyClassError("no reference class has any observations")
 
     constants = None
-    available = _load_benchmark(rc)
+    available = _load_benchmark(benchmark)
     if available:
         if benchmark_label is not None:
             if benchmark_label not in available:
@@ -434,8 +391,8 @@ def cmd_benchmark(benchmark_label, **params) -> None:
     write_benchmark_csv(report, csv_buffer)
     json_buffer = io.StringIO()
     write_benchmark_json(report, json_buffer)
-    _emit(rc, "benchmark.csv", csv_buffer.getvalue())
-    _emit(rc, "benchmark.json", json_buffer.getvalue())
+    _emit(out, "benchmark.csv", csv_buffer.getvalue())
+    _emit(out, "benchmark.json", json_buffer.getvalue())
     click.echo(csv_buffer.getvalue(), nl=False)
 
 
@@ -443,24 +400,24 @@ def cmd_benchmark(benchmark_label, **params) -> None:
 @_common_options
 @_STAGE_OPTION
 @_METRIC_OPTION
-def cmd_curve(stage: str, metric: str, **params) -> None:
+def cmd_curve(stage: str, metric: str, projects, deflators, era_cutoff, min_outturn, method, span,
+              degree, grid_step, out, **_unused) -> None:
     """Full uplift curve: raw quantiles, smoothed fit, confidence band."""
 
-    rc = _build_config(params)
-    _, observations = _observations(rc)
-    reference = _class_for(rc, observations, Stage.from_token(stage), Metric.from_token(metric))
+    _, observations = _observations(projects, deflators, era_cutoff)
+    reference = _class_for(observations, stage, metric, min_outturn)
 
-    raw = uplift_curve(reference, default_probability_grid(rc.grid_step), _single_method(rc, "curve"))
-    smoothed = isotonic_adjust(smooth_curve(raw, span=rc.span, degree=rc.degree))
+    raw = uplift_curve(reference, default_probability_grid(grid_step), _single_method(method, "curve"))
+    smoothed = isotonic_adjust(smooth_curve(raw, span=span, degree=degree))
 
     buffer = io.StringIO()
     buffer.write("p,uplift_raw,uplift_smoothed,ci_low,ci_high\n")
     for (p, raw_value), (_, fit, lo, hi) in zip(smoothed.points, smoothed.smoothed):
         buffer.write(f"{p:.2f},{raw_value:.6f},{fit:.6f},{lo:.6f},{hi:.6f}\n")
     text = buffer.getvalue()
-    _emit(rc, f"curve_{stage}_{metric}.csv", text)
+    _emit(out, f"curve_{stage}_{metric}.csv", text)
     svg = curve_svg(smoothed, markers=(0.5, 0.8), title=f"uplift curve: Category {stage}, {metric}")
-    _emit(rc, f"curve_{stage}_{metric}.svg", svg)
+    _emit(out, f"curve_{stage}_{metric}.svg", svg)
     click.echo(text, nl=False)
 
 
@@ -473,34 +430,34 @@ def cmd_curve(stage: str, metric: str, **params) -> None:
               help="Tiers as name:certainty,... (default contract:0.55,project:0.60,portfolio:0.80).")
 @click.option("--no-isotonic", is_flag=True,
               help="Skip the monotone adjustment of the smoothed curve (may fail with exit 4).")
-def cmd_tiers(stage: str, metric: str, base: int, scheme, no_isotonic: bool, **params) -> None:
+def cmd_tiers(stage: str, metric: str, base: int, scheme, no_isotonic: bool, projects, deflators,
+              era_cutoff, min_outturn, method, span, degree, grid_step, out, **_unused) -> None:
     """Tiered contingency allocation along the smoothed uplift curve."""
 
-    rc = _build_config(params)
     if base <= 0:
         raise click.UsageError(f"--base must be positive, got {base}")
-    _, observations = _observations(rc)
-    reference = _class_for(rc, observations, Stage.from_token(stage), Metric.from_token(metric))
+    tier_scheme = scheme if scheme is not None else DEFAULT_TIER_SCHEME
+    grid = _curve_grid(grid_step, [certainty for _, certainty in tier_scheme.tiers], "--scheme")
+    _, observations = _observations(projects, deflators, era_cutoff)
+    reference = _class_for(observations, stage, metric, min_outturn)
 
-    raw = uplift_curve(reference, default_probability_grid(rc.grid_step), _single_method(rc, "tiers"))
-    curve = smooth_curve(raw, span=rc.span, degree=rc.degree)
+    raw = uplift_curve(reference, grid, _single_method(method, "tiers"))
+    curve = smooth_curve(raw, span=span, degree=degree)
     if not no_isotonic:
         curve = isotonic_adjust(curve)
 
-    tier_scheme = scheme if scheme is not None else DEFAULT_TIER_SCHEME
     allocation = tier_allocation(base, curve, tier_scheme)
     text = json.dumps(allocation_as_dict(allocation), indent=2, sort_keys=True) + "\n"
-    _emit(rc, f"tiers_{stage}_{metric}.json", text)
+    _emit(out, f"tiers_{stage}_{metric}.json", text)
     click.echo(text, nl=False)
 
 
 @cli.command("check")
 @_common_options
-def cmd_check(**params) -> None:
+def cmd_check(projects, deflators, benchmark, **_unused) -> None:
     """Registry validation only: report every consistency violation."""
 
-    rc = _build_config(params)
-    with open(rc.projects, newline="") as handle:
+    with open(_required(projects, "projects"), newline="") as handle:
         records, reports = parse_project_records_lenient(handle)
 
     problem_count = 0
@@ -509,12 +466,10 @@ def cmd_check(**params) -> None:
             problem_count += 1
             click.echo(f"{violation.code}: {violation.message}")
 
-    if rc.deflators is not None:
-        with open(rc.deflators, newline="") as handle:
+    if deflators is not None:
+        with open(deflators, newline="") as handle:
             parse_deflator_series(handle)
-    if rc.benchmark is not None:
-        with open(rc.benchmark) as handle:
-            parse_benchmark_constants(handle)
+    _load_benchmark(benchmark)
 
     if problem_count:
         click.echo(f"{problem_count} violation(s) in {len(records)} record(s)")

@@ -17,9 +17,10 @@ import csv
 import enum
 import json
 import re
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, fields
 from datetime import date
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, NamedTuple
 
 from .errors import DataFormatError, DeflatorCoverageError, RecordConsistencyError
 
@@ -229,33 +230,6 @@ INTERNATIONAL_ROADS = BenchmarkConstants(
 )
 
 
-PROJECT_COLUMNS: tuple[str, ...] = (
-    "id",
-    "date_c",
-    "date_b",
-    "date_a",
-    "base_c",
-    "cont_c",
-    "approved_c",
-    "planned_completion_c",
-    "base_b",
-    "cont_b",
-    "approved_b",
-    "planned_completion_b",
-    "base_a",
-    "cont_a",
-    "approved_a",
-    "planned_completion_a",
-    "price_level_year_c",
-    "price_level_year_b",
-    "price_level_year_a",
-    "construction_start",
-    "actual_completion",
-    "outturn_nominal",
-    "disbursements",
-)
-
-
 def _parse_id(text: str) -> str:
     if not _ID_PATTERN.match(text):
         raise ValueError(f"invalid project id {text!r}")
@@ -296,6 +270,50 @@ def _parse_disbursements(text: str) -> dict[int, int]:
             raise ValueError(f"duplicate disbursement year {year}")
         spent[year] = amount
     return spent
+
+
+class _Column(NamedTuple):
+    """One proforma column: where its value lives and how its cell parses.
+
+    ``stage`` is None for a column of the record itself; otherwise
+    ``attribute`` names a field of that stage's StageEstimate.
+    """
+
+    name: str
+    stage: Stage | None
+    attribute: str
+    parse: Callable[[str], object]
+
+
+#: The proforma layout, in file order. Header check, parsing and writing
+#: are all driven by this one table.
+_COLUMNS: tuple[_Column, ...] = (
+    _Column("id", None, "id", _parse_id),
+    _Column("date_c", Stage.C, "upgrade_date", _parse_date),
+    _Column("date_b", Stage.B, "upgrade_date", _parse_date),
+    _Column("date_a", Stage.A, "upgrade_date", _parse_date),
+    _Column("base_c", Stage.C, "base", _parse_money),
+    _Column("cont_c", Stage.C, "contingency", _parse_money),
+    _Column("approved_c", Stage.C, "approved", _parse_money),
+    _Column("planned_completion_c", Stage.C, "planned_completion", _parse_date),
+    _Column("base_b", Stage.B, "base", _parse_money),
+    _Column("cont_b", Stage.B, "contingency", _parse_money),
+    _Column("approved_b", Stage.B, "approved", _parse_money),
+    _Column("planned_completion_b", Stage.B, "planned_completion", _parse_date),
+    _Column("base_a", Stage.A, "base", _parse_money),
+    _Column("cont_a", Stage.A, "contingency", _parse_money),
+    _Column("approved_a", Stage.A, "approved", _parse_money),
+    _Column("planned_completion_a", Stage.A, "planned_completion", _parse_date),
+    _Column("price_level_year_c", Stage.C, "price_level_year", _parse_year),
+    _Column("price_level_year_b", Stage.B, "price_level_year", _parse_year),
+    _Column("price_level_year_a", Stage.A, "price_level_year", _parse_year),
+    _Column("construction_start", None, "construction_start", _parse_date),
+    _Column("actual_completion", None, "actual_completion", _parse_date),
+    _Column("outturn_nominal", None, "outturn_nominal", _parse_money),
+    _Column("disbursements", None, "disbursements", _parse_disbursements),
+)
+
+PROJECT_COLUMNS: tuple[str, ...] = tuple(column.name for column in _COLUMNS)
 
 
 def validate_record(record: ProjectRecord) -> list[Violation]:
@@ -405,39 +423,23 @@ def validate_record(record: ProjectRecord) -> list[Violation]:
     return problems
 
 
-def _record_from_row(cells: dict[str, str], row_number: int) -> ProjectRecord:
-    def parsed(column: str, parser):
-        text = cells[column].strip()
+def _row_to_record(row: Sequence[str], row_number: int) -> ProjectRecord:
+    record_fields: dict[str, object] = {}
+    stage_fields: dict[Stage, dict[str, object]] = {stage: {} for stage in Stage}
+    for column, cell in zip(_COLUMNS, row):
+        text = cell.strip()
         if text == "":
-            return None
+            if column.attribute == "id":
+                raise DataFormatError(f"row {row_number}, column {column.name!r}: project id is missing")
+            continue
         try:
-            return parser(text)
+            value = column.parse(text)
         except ValueError as exc:
-            raise DataFormatError(f"row {row_number}, column {column!r}: {exc}") from None
-
-    project_id = parsed("id", _parse_id)
-    if project_id is None:
-        raise DataFormatError(f"row {row_number}, column 'id': project id is missing")
-
-    stages = {}
-    for stage, suffix in ((Stage.C, "c"), (Stage.B, "b"), (Stage.A, "a")):
-        stages[stage] = StageEstimate(
-            upgrade_date=parsed(f"date_{suffix}", _parse_date),
-            base=parsed(f"base_{suffix}", _parse_money),
-            contingency=parsed(f"cont_{suffix}", _parse_money),
-            approved=parsed(f"approved_{suffix}", _parse_money),
-            planned_completion=parsed(f"planned_completion_{suffix}", _parse_date),
-            price_level_year=parsed(f"price_level_year_{suffix}", _parse_year),
-        )
-
-    return ProjectRecord(
-        id=project_id,
-        stages=stages,
-        construction_start=parsed("construction_start", _parse_date),
-        actual_completion=parsed("actual_completion", _parse_date),
-        outturn_nominal=parsed("outturn_nominal", _parse_money),
-        disbursements=parsed("disbursements", _parse_disbursements),
-    )
+            raise DataFormatError(f"row {row_number}, column {column.name!r}: {exc}") from None
+        owner = record_fields if column.stage is None else stage_fields[column.stage]
+        owner[column.attribute] = value
+    stages = {stage: StageEstimate(**values) for stage, values in stage_fields.items()}
+    return ProjectRecord(stages=stages, **record_fields)
 
 
 def parse_project_records_lenient(
@@ -469,7 +471,7 @@ def parse_project_records_lenient(
             raise DataFormatError(
                 f"row {row_number}: expected {len(PROJECT_COLUMNS)} columns, got {len(row)}"
             )
-        record = _record_from_row(dict(zip(PROJECT_COLUMNS, row)), row_number)
+        record = _row_to_record(row, row_number)
         if record.id in reports:
             raise DataFormatError(f"row {row_number}: duplicate project id {record.id!r}")
         records.append(record)
@@ -491,41 +493,19 @@ def parse_project_records(source: Iterable[str] | IO[str]) -> list[ProjectRecord
 def _format_cell(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, (int, str)):
+        return str(value)
     if isinstance(value, date):
         return value.isoformat()
-    return str(value)
+    return ";".join(f"{year}:{amount}" for year, amount in sorted(value.items()))
 
 
 def record_to_row(record: ProjectRecord) -> list[str]:
-    # Column order is fixed by PROJECT_COLUMNS; build explicitly.
-    est = {s: record.stages[s] for s in Stage}
-    return [
-        record.id,
-        _format_cell(est[Stage.C].upgrade_date),
-        _format_cell(est[Stage.B].upgrade_date),
-        _format_cell(est[Stage.A].upgrade_date),
-        _format_cell(est[Stage.C].base),
-        _format_cell(est[Stage.C].contingency),
-        _format_cell(est[Stage.C].approved),
-        _format_cell(est[Stage.C].planned_completion),
-        _format_cell(est[Stage.B].base),
-        _format_cell(est[Stage.B].contingency),
-        _format_cell(est[Stage.B].approved),
-        _format_cell(est[Stage.B].planned_completion),
-        _format_cell(est[Stage.A].base),
-        _format_cell(est[Stage.A].contingency),
-        _format_cell(est[Stage.A].approved),
-        _format_cell(est[Stage.A].planned_completion),
-        _format_cell(est[Stage.C].price_level_year),
-        _format_cell(est[Stage.B].price_level_year),
-        _format_cell(est[Stage.A].price_level_year),
-        _format_cell(record.construction_start),
-        _format_cell(record.actual_completion),
-        _format_cell(record.outturn_nominal),
-        "" if record.disbursements is None else ";".join(
-            f"{year}:{amount}" for year, amount in sorted(record.disbursements.items())
-        ),
-    ]
+    cells = []
+    for column in _COLUMNS:
+        owner = record if column.stage is None else record.stages[column.stage]
+        cells.append(_format_cell(getattr(owner, column.attribute)))
+    return cells
 
 
 def write_project_records(records: Sequence[ProjectRecord], sink: IO[str]) -> None:
@@ -563,16 +543,9 @@ def parse_deflator_series(
     return DeflatorSeries.from_pairs(pairs, base_year=base_year)
 
 
-_BENCHMARK_FIELDS = (
-    "n_projects",
-    "mean_cost_overrun",
-    "cost_overrun_frequency",
-    "cost_overrun_sd",
-    "mean_schedule_overrun",
-    "schedule_overrun_frequency",
-    "schedule_overrun_sd",
-    "mean_duration_years",
-)
+# Field annotations are strings under ``from __future__ import annotations``;
+# this maps each numeric one onto the function that coerces a JSON value.
+_NUMBER_TYPES = {"int": int, "float": float}
 
 
 def parse_benchmark_constants(source: str | IO[str]) -> dict[str, BenchmarkConstants]:
@@ -585,25 +558,17 @@ def parse_benchmark_constants(source: str | IO[str]) -> dict[str, BenchmarkConst
         raise DataFormatError(f"benchmark file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise DataFormatError("benchmark file must hold an object keyed by label")
+    numeric = [f for f in fields(BenchmarkConstants) if f.type in _NUMBER_TYPES]
     result: dict[str, BenchmarkConstants] = {}
     for label, body in payload.items():
         if not isinstance(body, dict):
             raise DataFormatError(f"benchmark {label!r}: entry must be an object")
-        missing = [name for name in _BENCHMARK_FIELDS if name not in body]
+        missing = [f.name for f in numeric if f.name not in body]
         if missing:
             raise DataFormatError(f"benchmark {label!r}: missing fields {', '.join(missing)}")
         try:
-            result[label] = BenchmarkConstants(
-                label=label,
-                n_projects=int(body["n_projects"]),
-                mean_cost_overrun=float(body["mean_cost_overrun"]),
-                cost_overrun_frequency=float(body["cost_overrun_frequency"]),
-                cost_overrun_sd=float(body["cost_overrun_sd"]),
-                mean_schedule_overrun=float(body["mean_schedule_overrun"]),
-                schedule_overrun_frequency=float(body["schedule_overrun_frequency"]),
-                schedule_overrun_sd=float(body["schedule_overrun_sd"]),
-                mean_duration_years=float(body["mean_duration_years"]),
-            )
+            values = {f.name: _NUMBER_TYPES[f.type](body[f.name]) for f in numeric}
+            result[label] = BenchmarkConstants(label=label, **values)
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"benchmark {label!r}: {exc}") from None
     return result

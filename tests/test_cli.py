@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from datetime import date
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
 
 import corpus
+import refclass
 from refclass.cli import main
 from refclass.registry import (
     ProjectRecord,
@@ -279,6 +284,66 @@ def test_usage_errors_exit_1(table2_paths, tmp_path, capsys):
     code, _, err = run(capsys, "uplift", "--stage", "C", "--metric", "cost")
     assert code == 1
 
+    span_zero = tmp_path / "span.conf"
+    span_zero.write_text("span = 0\n")
+    step_nan = tmp_path / "step.conf"
+    step_nan.write_text("grid_step = nan\n")
+    for bad in (
+        ["curve", "--grid-step", "0"],
+        ["curve", "--grid-step", "2"],
+        ["curve", "--span", "0"],
+        ["curve", "--span", "1.5"],
+        ["curve", "--config", str(span_zero)],
+        ["curve", "--span", "nan"],
+        ["curve", "--grid-step", "nan"],
+        ["curve", "--config", str(step_nan)],
+        ["uplift", "--smooth", "--p", "0.005"],
+        ["tiers", "--base", "100", "--scheme", "a:0.005"],
+    ):
+        code, _, err = run(capsys, *bad, *args, "--stage", "C", "--metric", "cost")
+        assert code == 1, bad
+        assert "Traceback" not in err
+        assert "Error:" in err
+
+
+def test_method_is_case_insensitive_in_flags_and_config(table2_paths, tmp_path, capsys):
+    args = [*base_args(table2_paths, tmp_path / "out"), "--stage", "C", "--metric", "cost"]
+    code, lower, _ = run(capsys, "uplift", *args, "--method", "inf")
+    assert code == 0
+    code, upper, _ = run(capsys, "uplift", *args, "--method", "INF")
+    assert code == 0
+    assert upper == lower
+    config = tmp_path / "method.conf"
+    config.write_text("method = INF\n")
+    code, stdout, _ = run(capsys, "uplift", *args, "--config", str(config))
+    assert code == 0
+    assert stdout == lower
+
+
+def test_empty_class_error_is_one_stderr_line(table2_paths, tmp_path):
+    # A real process: pytest's own log handlers hide a stray warning in-process.
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "refclass",
+            "uplift",
+            *base_args(table2_paths, tmp_path / "out"),
+            "--stage",
+            "C",
+            "--metric",
+            "cost",
+            "--min-outturn",
+            "99999999",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(refclass.__file__).parent.parent)},
+    )
+    assert done.returncode == 3
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error:")
+
 
 def test_data_errors_exit_2(table2_paths, tmp_path, capsys):
     code, _, err = run(
@@ -426,3 +491,73 @@ def test_console_help_runs(capsys):
     assert code == 0
     for name in ("overruns", "uplift", "validate", "benchmark", "curve", "tiers", "check"):
         assert name in stdout
+
+
+SHIPPED_DATA = Path(__file__).resolve().parent.parent / "data"
+
+# Exit code, sha256 of stdout and sha256 of every file written under --out,
+# per command, on the registry shipped in data/. These bytes are the
+# byte-stable output contract; a change to any of them is a behaviour change.
+SHIPPED_GOLDEN = {
+    "check": (
+        ["check"],
+        "4d4d1dc5d3d3d7e010a3aefea226247f4d1f47a1447793e4c9f261a183a7174c",
+        {},
+    ),
+    "overruns": (
+        ["overruns", "--stage", "C", "--metric", "cost"],
+        "d896e4113b7c6b464e7f72b5cd993122c96e7f5eace8dfe3f566d0b9cccedacc",
+        {"overruns_C_cost.csv": "d896e4113b7c6b464e7f72b5cd993122c96e7f5eace8dfe3f566d0b9cccedacc"},
+    ),
+    "uplift": (
+        ["uplift", "--stage", "C", "--metric", "cost", "--method", "both", "--smooth"],
+        "3c0c69100ea7e77755f41bef5a77bdd7cb0fdae6fc594bd17f57c547871be32b",
+        {"uplift_C_cost.csv": "3c0c69100ea7e77755f41bef5a77bdd7cb0fdae6fc594bd17f57c547871be32b"},
+    ),
+    "validate": (
+        ["validate", "--stage", "C", "--metric", "cost"],
+        "a5680785a0137bd30c231cd0870f56ff80ccc0c5b4a086ec707b6ca5fbe0092b",
+        {"loov_C_cost.csv": "55f88099f9e7e1e25eb93ef8cae8ee570871652b4f31c1b9668bd2c98897ada2"},
+    ),
+    "benchmark": (
+        ["benchmark", "--benchmark", str(SHIPPED_DATA / "benchmark.json")],
+        "b58c664c1e5c4f8e091e553ef15c03ba057357f8e5933561cf97995de387a9d5",
+        {
+            "benchmark.csv": "b58c664c1e5c4f8e091e553ef15c03ba057357f8e5933561cf97995de387a9d5",
+            "benchmark.json": "fdc1a4bebd4b865368ca1a4352c576a68edabe55f227028d63e0ebadd6b33aa5",
+        },
+    ),
+    "curve": (
+        ["curve", "--stage", "C", "--metric", "cost"],
+        "5395cd70eea0be6774332f0e94c9f3aa041cf3fd3e98f1d30e5d5c37efeb4090",
+        {
+            "curve_C_cost.csv": "5395cd70eea0be6774332f0e94c9f3aa041cf3fd3e98f1d30e5d5c37efeb4090",
+            "curve_C_cost.svg": "b571602e6a7b70605214eb367fb9d2b4ac965f4cb2094ed44d07fc050977e7d6",
+        },
+    ),
+    "tiers": (
+        ["tiers", "--stage", "C", "--metric", "cost", "--base", "100000"],
+        "333e65b608fea2ca737f5638d94b35f9d46fe4c3dd762afa276b3f2e7f422353",
+        {"tiers_C_cost.json": "333e65b608fea2ca737f5638d94b35f9d46fe4c3dd762afa276b3f2e7f422353"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SHIPPED_GOLDEN))
+def test_shipped_data_outputs_are_byte_stable(command, tmp_path, capsys):
+    argv, stdout_digest, file_digests = SHIPPED_GOLDEN[command]
+    out = tmp_path / "out"
+    code, stdout, _ = run(
+        capsys,
+        *argv,
+        "--projects",
+        str(SHIPPED_DATA / "projects.csv"),
+        "--deflators",
+        str(SHIPPED_DATA / "deflators.csv"),
+        "--out",
+        str(out),
+    )
+    assert code == 0
+    assert sha256(stdout.encode()).hexdigest() == stdout_digest
+    written = sorted(out.iterdir()) if out.exists() else []
+    assert {p.name: sha256(p.read_bytes()).hexdigest() for p in written} == file_digests

@@ -1,4 +1,5 @@
 import io
+import string
 from datetime import date
 
 import pytest
@@ -34,6 +35,42 @@ def test_roundtrip_demo_corpus(demo_records):
     write_project_records(demo_records, buffer)
     reparsed = parse_project_records(io.StringIO(buffer.getvalue()))
     assert reparsed == demo_records
+
+    again = io.StringIO()
+    write_project_records(reparsed, again)
+    assert again.getvalue() == buffer.getvalue()
+
+
+_dates = st.none() | st.dates()
+_money = st.none() | st.integers(min_value=-10**12, max_value=10**12)
+_years = st.integers(min_value=1000, max_value=9999)
+_stage_estimates = st.builds(
+    StageEstimate,
+    upgrade_date=_dates,
+    base=_money,
+    contingency=_money,
+    approved=_money,
+    planned_completion=_dates,
+    price_level_year=st.none() | _years,
+)
+_records = st.builds(
+    ProjectRecord,
+    id=st.text(string.ascii_letters + string.digits + "_.-", min_size=1, max_size=8),
+    stages=st.fixed_dictionaries({stage: _stage_estimates for stage in Stage}),
+    construction_start=_dates,
+    actual_completion=_dates,
+    outturn_nominal=_money,
+    disbursements=st.none()
+    | st.dictionaries(_years, st.integers(min_value=-10**9, max_value=10**9), min_size=1),
+)
+
+
+@given(st.lists(_records, max_size=5, unique_by=lambda record: record.id))
+def test_write_then_parse_roundtrips_any_records(records):
+    buffer = io.StringIO()
+    write_project_records(records, buffer)
+    reparsed, _ = parse_project_records_lenient(io.StringIO(buffer.getvalue()))
+    assert reparsed == records
 
     again = io.StringIO()
     write_project_records(reparsed, again)
