@@ -37,7 +37,7 @@ from .errors import (
     NonMonotoneCurveError,
     RefclassError,
 )
-from .formatting import round_half_away
+from .formatting import certainty_percent, certainty_text, round_half_away
 from .normalization import DEFAULT_ERA_CUTOFF, derive_all_observations
 from .plot import curve_svg
 from .reference_class import (
@@ -224,14 +224,19 @@ def _class_for(observations, stage: str, metric: str, min_outturn: int):
     return reference
 
 
-def _curve_grid(grid_step: float, levels, option: str) -> tuple[float, ...]:
-    """The certainty grid of a smoothed curve, checked to cover ``levels``."""
+def _curve_grid(grid_step: float, degree: int, levels=(), option: str = "") -> tuple[float, ...]:
+    """The certainty grid of a smoothed curve, checked to hold enough points
+    for a loess fit of ``degree`` and to cover ``levels``."""
 
     grid = default_probability_grid(grid_step)
-    lowest = min(levels)
-    if lowest < grid[0]:
+    if len(grid) < degree + 2:
         raise click.UsageError(
-            f"certainty {lowest} in {option} is below the curve's first grid point {grid[0]}"
+            f"--grid-step {grid_step} leaves {len(grid)} grid points; "
+            f"a loess fit of degree {degree} needs at least {degree + 2}"
+        )
+    if levels and min(levels) < grid[0]:
+        raise click.UsageError(
+            f"certainty {min(levels)} in {option} is below the curve's first grid point {grid[0]}"
         )
     return grid
 
@@ -291,7 +296,7 @@ def cmd_uplift(stage: str, metric: str, p_levels, smooth: bool, projects, deflat
     """Required uplifts at chosen certainty levels."""
 
     levels = p_levels or (0.5, 0.8)
-    grid = _curve_grid(grid_step, levels, "--p") if smooth else None
+    grid = _curve_grid(grid_step, degree, levels, "--p") if smooth else None
     _, observations = _observations(projects, deflators, era_cutoff)
     reference = _class_for(observations, stage, metric, min_outturn)
 
@@ -307,7 +312,7 @@ def cmd_uplift(stage: str, metric: str, p_levels, smooth: bool, projects, deflat
         header.append("uplift_smoothed")
     buffer.write(",".join(header) + "\n")
     for p in levels:
-        cells = [f"{p:.2f}"] + [f"{class_uplift(reference, p, m):.6f}" for m in methods]
+        cells = [certainty_text(p)] + [f"{class_uplift(reference, p, m):.6f}" for m in methods]
         if smoothed_curve is not None:
             cells.append(f"{smoothed_curve.value_at(p):.6f}")
         buffer.write(",".join(cells) + "\n")
@@ -339,7 +344,7 @@ def cmd_validate(stage: str, metric: str, p_levels, projects, deflators, era_cut
     for p in sorted(set(levels)):
         summary = loov_summary(rows, p)
         click.echo(
-            f"# p{round(p * 100):d}: {summary.hits}/{summary.n} prevented "
+            f"# p{certainty_percent(p)}: {summary.hits}/{summary.n} prevented "
             f"({round_half_away(summary.rate * 100):d}%)"
         )
 
@@ -404,16 +409,17 @@ def cmd_curve(stage: str, metric: str, projects, deflators, era_cutoff, min_outt
               degree, grid_step, out, **_unused) -> None:
     """Full uplift curve: raw quantiles, smoothed fit, confidence band."""
 
+    grid = _curve_grid(grid_step, degree)
     _, observations = _observations(projects, deflators, era_cutoff)
     reference = _class_for(observations, stage, metric, min_outturn)
 
-    raw = uplift_curve(reference, default_probability_grid(grid_step), _single_method(method, "curve"))
+    raw = uplift_curve(reference, grid, _single_method(method, "curve"))
     smoothed = isotonic_adjust(smooth_curve(raw, span=span, degree=degree))
 
     buffer = io.StringIO()
     buffer.write("p,uplift_raw,uplift_smoothed,ci_low,ci_high\n")
     for (p, raw_value), (_, fit, lo, hi) in zip(smoothed.points, smoothed.smoothed):
-        buffer.write(f"{p:.2f},{raw_value:.6f},{fit:.6f},{lo:.6f},{hi:.6f}\n")
+        buffer.write(f"{certainty_text(p)},{raw_value:.6f},{fit:.6f},{lo:.6f},{hi:.6f}\n")
     text = buffer.getvalue()
     _emit(out, f"curve_{stage}_{metric}.csv", text)
     svg = curve_svg(smoothed, markers=(0.5, 0.8), title=f"uplift curve: Category {stage}, {metric}")
@@ -437,7 +443,9 @@ def cmd_tiers(stage: str, metric: str, base: int, scheme, no_isotonic: bool, pro
     if base <= 0:
         raise click.UsageError(f"--base must be positive, got {base}")
     tier_scheme = scheme if scheme is not None else DEFAULT_TIER_SCHEME
-    grid = _curve_grid(grid_step, [certainty for _, certainty in tier_scheme.tiers], "--scheme")
+    grid = _curve_grid(
+        grid_step, degree, [certainty for _, certainty in tier_scheme.tiers], "--scheme"
+    )
     _, observations = _observations(projects, deflators, era_cutoff)
     reference = _class_for(observations, stage, metric, min_outturn)
 

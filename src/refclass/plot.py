@@ -13,7 +13,7 @@ import dataclasses
 import math
 from typing import Sequence
 
-from .formatting import signed_percent
+from .formatting import certainty_percent, signed_percent
 from .reference_class import UpliftCurve
 
 _WIDTH = 720
@@ -150,7 +150,7 @@ def curve_svg(
         except ValueError:
             continue
         x, y = sx(p), sy(value)
-        label = f"P{round(p * 100):d} {signed_percent(value)}"
+        label = f"P{certainty_percent(p)} {signed_percent(value)}"
         parts.append(
             f'<line x1="{_fmt(x)}" y1="{_fmt(_MARGIN_TOP)}" x2="{_fmt(x)}" '
             f'y2="{_fmt(_MARGIN_TOP + plot_h)}" stroke="{_COLORS["marker"]}" '

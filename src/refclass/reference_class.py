@@ -68,10 +68,15 @@ def empirical_quantile(values: Sequence[float], p: float, method: QuantileMethod
         raise ValueError(f"p must lie in (0, 1], got {p}")
 
     if method is QuantileMethod.INF:
-        for k in range(1, n + 1):
-            if k / n >= p:
-                return values[k - 1]
-        return values[-1]
+        # ceil(n p) is the answer up to float noise in n * p; step it to the
+        # smallest k whose k / n, the quotient the definition compares,
+        # reaches p (k / n only grows with k, and n / n = 1 >= p).
+        k = min(max(math.ceil(n * p), 1), n)
+        while k > 1 and (k - 1) / n >= p:
+            k -= 1
+        while k / n < p:
+            k += 1
+        return values[k - 1]
 
     h = (n - 1) * p + 1.0
     h = min(max(h, 1.0), float(n))
@@ -100,16 +105,19 @@ class ReferenceClass:
 
     ``entries`` keeps the order the observations arrived in (leave-one-out
     reports follow it); ``observations`` is the same set sorted ascending
-    by value.
+    by value (a stable sort, so ties keep their entry order), and
+    ``values`` their outcome fractions in that order.
     """
 
     filter: ClassFilter | None
     entries: tuple[OverrunObservation, ...]
     observations: tuple[OverrunObservation, ...] = field(init=False)
+    values: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.entries, key=lambda o: o.value))
         object.__setattr__(self, "observations", ordered)
+        object.__setattr__(self, "values", tuple(o.value for o in ordered))
 
     @property
     def n(self) -> int:
@@ -118,10 +126,6 @@ class ReferenceClass:
     @property
     def is_empty(self) -> bool:
         return not self.entries
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(o.value for o in self.observations)
 
     @classmethod
     def from_values(

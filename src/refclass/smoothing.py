@@ -1,11 +1,26 @@
 """Local regression and monotone projection for uplift curves and trends.
 
 loess_smooth fits a tricube-weighted local polynomial (degree 1 or 2) at
-every input x. The window holds the ceil(span * n) nearest points, never
-fewer than degree + 2. Because the fit at each point is a linear map of the
-responses, the same hat vector that produces the fit also yields a pointwise
-standard error; the 95 percent band is fit +/- 1.96 * SE with the residual
-variance estimated globally.
+every input x. Point i's window holds the ceil(span * n) points nearest to
+it, never fewer than degree + 2; at the window's edge distance, tied points
+are taken lowest index (in ascending x order) first, so with repeated x a
+window can skip part of a tie block. Because x is sorted, a two-pointer
+scan finds every window in one pass.
+
+The fit at each point is a linear map of the responses: its hat vector
+h_j = w_j * sum_k c_k t_j^k, where t = (x - x_i) / d_max scales the window
+into [-1, 1], w is the tricube weight and c solves the small centred system
+M c = e_0 with M_kl = sum w t^(k+l). So the fit, the hat diagonal (c_0) and
+the hat row's sum of squares (c' M2 c, M2_kl = sum w^2 t^(k+l)) all follow
+from weighted power sums, computed for blocks of points at a time; no n x n
+matrix is formed, so memory stays linear in n. A window whose system is
+singular or ill-conditioned (too few distinct x with positive weight) is
+solved directly by a pseudo-inverse, and one whose x values all coincide
+takes the local mean. Fits of at most 128 points, which covers every
+uplift curve, solve every point directly and keep the dense n x n hat
+matrix (at most 128 KiB), so their output is the same to the last bit. The
+pointwise standard error is sqrt(sigma^2 * sum_j h_j^2), with the residual
+variance sigma^2 estimated globally; the 95 percent band is fit +/- 1.96 * SE.
 
 pool_adjacent_violators is the least-squares projection onto non-decreasing
 sequences: scan forward, merge adjacent blocks whose means are out of order,
@@ -15,6 +30,7 @@ and write each block's weighted mean back over its span.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +38,21 @@ import numpy as np
 from .errors import InsufficientDataError
 
 _Z_95 = 1.96
+
+#: Entries per (points x window) work array. It bounds the memory of a fit,
+#: and at 64 KiB a block's temporaries stay below the size for which the C
+#: allocator maps (and faults in) fresh pages on every allocation; larger
+#: blocks measured up to twice as slow.
+_BLOCK_ENTRIES = 1 << 13
+
+#: Local systems with a larger condition number are solved by pseudo-inverse.
+_MAX_CONDITION = 1e8
+
+#: Fits of at most this many points (every uplift curve: its certainty grid
+#: has at most 100) solve each point directly into a dense hat matrix, which
+#: is cheap at this size and keeps the printed full-precision uplifts
+#: identical to the last bit.
+_DIRECT_MAX_POINTS = 128
 
 
 def loess_smooth(
@@ -51,39 +82,168 @@ def loess_smooth(
     y = np.array([points[i][1] for i in order], dtype=float)
 
     window_size = min(n, max(math.ceil(span * n), degree + 2))
-
-    fits = np.empty(n)
-    hat = np.zeros((n, n))
-    for i in range(n):
-        distance = np.abs(x - x[i])
-        window = np.argsort(distance, kind="stable")[:window_size]
-        d_max = float(distance[window].max())
-        if d_max == 0.0:
-            # All window points share this x: the local design is degenerate,
-            # so fall back to their plain mean.
-            fits[i] = float(np.mean(y[window]))
-            hat[i, window] = 1.0 / window_size
-            continue
-        u = distance[window] / d_max
-        weights = np.clip((1.0 - u**3) ** 3, 0.0, None)
-        sqrt_w = np.sqrt(weights)
-        design = np.vander(x[window] - x[i], degree + 1, increasing=True)
-        # beta = pinv(sqrt(W) X) sqrt(W) y; row 0 of the pseudo-inverse gives
-        # the hat vector for the centred intercept, i.e. the fit at x[i].
-        pseudo = np.linalg.pinv(design * sqrt_w[:, None])
-        fits[i] = float(pseudo[0] @ (y[window] * sqrt_w))
-        hat[i, window] = pseudo[0] * sqrt_w
+    if n <= _DIRECT_MAX_POINTS:
+        fits = np.empty(n)
+        hat = np.zeros((n, n))
+        for i in range(n):
+            fits[i], window, hat_row = _direct_fit(x, y, i, window_size, degree)
+            hat[i, window] = hat_row
+        hat_diagonal = np.diagonal(hat)
+        hat_row_ss = np.sum(hat * hat, axis=1)
+    else:
+        bounds, reach = _windows(x.tolist(), window_size)
+        fits, hat_diagonal, hat_row_ss, solved = _power_sum_fits(
+            x, y, bounds, reach, window_size, degree
+        )
+        for i in np.flatnonzero(~solved):
+            fits[i], window, hat_row = _direct_fit(x, y, i, window_size, degree)
+            hat_diagonal[i] = hat_row[window == i].sum()
+            hat_row_ss[i] = hat_row @ hat_row
 
     residuals = y - fits
-    effective_df = float(np.trace(hat))
+    effective_df = float(hat_diagonal.sum())
     denom = max(float(n) - effective_df, 1.0)
     sigma2 = float(residuals @ residuals) / denom
-    se = np.sqrt(sigma2 * np.sum(hat * hat, axis=1))
+    se = np.sqrt(sigma2 * hat_row_ss)
 
     return [
         (float(x[i]), float(fits[i]), float(fits[i] - _Z_95 * se[i]), float(fits[i] + _Z_95 * se[i]))
         for i in range(n)
     ]
+
+
+def _power_sum_fits(
+    x: np.ndarray,
+    y: np.ndarray,
+    bounds: np.ndarray,
+    reach: np.ndarray,
+    size: int,
+    degree: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fit, hat diagonal and hat-row sum of squares at every point from the
+    windows' weighted power sums, plus a mask of the points this solved;
+    the rest have singular or ill-conditioned local systems."""
+
+    n = len(x)
+    # sums[m, i, k] = sum over point i's window of m t^k, for m = w, w^2, w y.
+    sums = np.empty((3, n, 2 * degree + 1))
+    block = max(1, _BLOCK_ENTRIES // size)
+    for start in range(0, n, block):
+        rows = np.arange(start, min(n, start + block))
+        index = _window_index(bounds[:, rows], size)
+        sums[:, rows] = _weighted_power_sums(x, y, rows, index, reach[rows], degree)
+
+    pairs = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
+    system = sums[0][:, pairs]
+    eigenvalues = np.linalg.eigvalsh(system)
+    solved = (reach > 0.0) & (eigenvalues[:, 0] * _MAX_CONDITION > eigenvalues[:, -1])
+    system[~solved] = np.eye(degree + 1)
+    # c = M^-1 e_0, the intercept row of M^-1 (M is symmetric). At x_i, t = 0
+    # and w = 1, so the hat diagonal is c_0.
+    unit = np.zeros((n, degree + 1, 1))
+    unit[:, 0] = 1.0
+    c = np.linalg.solve(system, unit)[..., 0]
+    fits = np.einsum("ik,ik->i", c, sums[2][:, : degree + 1])
+    hat_row_ss = np.einsum("ik,ikl,il->i", c, sums[1][:, pairs], c)
+    return fits, c[:, 0].copy(), hat_row_ss, solved
+
+
+def _windows(x: list[float], size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's window over ascending ``x``.
+
+    Returns bounds, rows (first, count, second) naming the indices [first,
+    first + count) and [second, second + size - count), and reach, the
+    largest distance in each window. The window is the ``size`` points
+    nearest x_i, ties at distance reach taken lowest index first. Distances
+    are always |x_j - x_i| as computed, never compared through x_i - reach,
+    which would round differently.
+    """
+
+    n = len(x)
+    bounds: list[tuple[int, int, int]] = []
+    reach: list[float] = []
+    lo = 0
+    for i, xi in enumerate(x):
+        # [lo, lo + size) slides right while the next point beyond it is no
+        # farther than its left end; stopping at lo = i keeps i inside.
+        while lo < i and lo + size < n and abs(x[lo + size] - xi) <= abs(x[lo] - xi):
+            lo += 1
+        d = max(abs(x[lo] - xi), abs(x[lo + size - 1] - xi))
+        reach.append(d)
+        if d == 0.0:
+            # Every point at distance 0 shares x_i; take the first of them.
+            first = bisect_left(x, xi)
+            bounds.append((first, 0, first))
+            continue
+        # Points nearer than d form [near, far]; those at d lie just outside
+        # it, from index edge on the left. Equal x share a distance, so each
+        # step skips a whole run of equal x.
+        near = lo
+        while abs(x[near] - xi) >= d:
+            near = bisect_right(x, x[near])
+        far = lo + size - 1
+        while abs(x[far] - xi) >= d:
+            far = bisect_left(x, x[far]) - 1
+        edge = lo
+        while edge > 0 and abs(x[edge - 1] - xi) <= d:
+            edge = bisect_left(x, x[edge - 1])
+        bounds.append((edge, min(size - (far - near + 1), near - edge), near))
+    return np.array(bounds, dtype=np.intp).T, np.array(reach)
+
+
+def _window_index(bounds: np.ndarray, size: int) -> np.ndarray:
+    """The window indices, one row per column of ``bounds``."""
+
+    first, count, second = bounds
+    index = (second - count)[:, None] + np.arange(size)
+    for b in np.flatnonzero(count):
+        index[b, : count[b]] = np.arange(first[b], first[b] + count[b])
+    return index
+
+
+def _weighted_power_sums(
+    x: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    index: np.ndarray,
+    reach: np.ndarray,
+    degree: int,
+) -> np.ndarray:
+    """sum w t^k, sum w^2 t^k and sum w y t^k over each window, k <= 2 degree."""
+
+    t = (x[index] - x[rows, None]) / np.where(reach > 0.0, reach, 1.0)[:, None]
+    # Tricube weights; |t| <= 1 inside the window, so none is negative.
+    weights = 1.0 - np.abs(t * t * t)
+    weights *= weights * weights
+    terms = np.stack([weights, weights * weights, weights * y[index]])
+    sums = np.empty((3, len(rows), 2 * degree + 1))
+    for k in range(2 * degree + 1):
+        sums[..., k] = terms.sum(axis=-1)
+        terms *= t
+    return sums
+
+
+def _direct_fit(
+    x: np.ndarray, y: np.ndarray, i: int, size: int, degree: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Fit at point i, its window and the window's hat values, solved
+    directly: the window by a stable argsort of the distances, then the
+    local mean where every window point shares x_i, else a pseudo-inverse."""
+
+    distance = np.abs(x - x[i])
+    window = np.argsort(distance, kind="stable")[:size]
+    d_max = float(distance[window].max())
+    if d_max == 0.0:
+        # All window points share this x: the local design is degenerate, so
+        # fall back to their plain mean.
+        return float(np.mean(y[window])), window, np.full(size, 1.0 / size)
+    u = distance[window] / d_max
+    sqrt_w = np.sqrt(np.clip((1.0 - u**3) ** 3, 0.0, None))
+    design = np.vander(x[window] - x[i], degree + 1, increasing=True)
+    # beta = pinv(sqrt(W) X) sqrt(W) y; row 0 of the pseudo-inverse gives the
+    # hat vector for the centred intercept, i.e. the fit at x[i].
+    pseudo = np.linalg.pinv(design * sqrt_w[:, None])
+    return float(pseudo[0] @ (y[window] * sqrt_w)), window, pseudo[0] * sqrt_w
 
 
 def pool_adjacent_violators(

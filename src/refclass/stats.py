@@ -7,7 +7,8 @@ tie correction and continuity correction applies.
 
 The two-proportion test is Fisher's exact test on the 2x2 table, two-sided
 by summing every table whose probability does not exceed the observed one.
-All hypergeometric arithmetic is done in exact rationals.
+All hypergeometric arithmetic is exact: integer table counts, one rational
+at the end.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def proportion_test(k1: int, n1: int, k2: int, n2: int) -> float:
     """Fisher's exact two-sided p for k1/n1 successes against k2/n2.
 
     Sums the probability of every table (with the same margins) that is no
-    more likely than the observed one; exact rational arithmetic throughout.
+    more likely than the observed one; exact integer arithmetic throughout.
     """
 
     for label, k, n in (("first", k1, n1), ("second", k2, n2)):
@@ -150,13 +151,17 @@ def proportion_test(k1: int, n1: int, k2: int, n2: int) -> float:
         if not 0 <= k <= n:
             raise ValueError(f"{label} success count {k} outside 0..{n}")
 
+    # Every table shares the denominator C(n1 + n2, k), so tables compare and
+    # add as their integer numerators C(n1, x) C(n2, k - x). Each numerator
+    # follows from the previous one by an exact integer ratio.
     k = k1 + k2
-    total = n1 + n2
-    denominator = math.comb(total, k)
-    observed = Fraction(math.comb(n1, k1) * math.comb(n2, k - k1), denominator)
-    p = Fraction(0)
-    for x in range(max(0, k - n2), min(n1, k) + 1):
-        table = Fraction(math.comb(n1, x) * math.comb(n2, k - x), denominator)
+    observed = math.comb(n1, k1) * math.comb(n2, k2)
+    low = max(0, k - n2)
+    table = math.comb(n1, low) * math.comb(n2, k - low)
+    total = 0
+    for x in range(low, min(n1, k) + 1):
         if table <= observed:
-            p += table
+            total += table
+        table = table * (n1 - x) * (k - x) // ((x + 1) * (n2 - k + x + 1))
+    p = Fraction(total, math.comb(n1 + n2, k))
     return float(min(p, Fraction(1)))

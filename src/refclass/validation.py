@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .errors import InsufficientDataError
-from .formatting import signed_percent, yes_no
+from .formatting import certainty_percent, signed_percent, yes_no
 from .reference_class import QuantileMethod, ReferenceClass, empirical_quantile
 
 DEFAULT_P_LEVELS = (0.5, 0.8)
@@ -42,6 +42,23 @@ class LoovSummary:
     rate: float
 
 
+class _WithoutPosition(Sequence[float]):
+    """A sorted sample with one position left out, read in O(1) per item:
+    item k is ``ordered[k]`` before the gap and ``ordered[k + 1]`` after."""
+
+    def __init__(self, ordered: Sequence[float], gap: int) -> None:
+        self._ordered = ordered
+        self._gap = gap
+
+    def __len__(self) -> int:
+        return len(self._ordered) - 1
+
+    def __getitem__(self, k: int) -> float:
+        if k < 0:
+            k += len(self)
+        return self._ordered[k if k < self._gap else k + 1]
+
+
 def leave_one_out(
     reference: ReferenceClass,
     p_levels: Sequence[float] = DEFAULT_P_LEVELS,
@@ -57,10 +74,18 @@ def leave_one_out(
         raise ValueError("at least one certainty level is required")
     levels = sorted(set(p_levels))
 
-    values = [o.value for o in reference.entries]
+    # The class's values are sorted once, stably, so entry i sits at sorted
+    # position rank[i]; dropping that one position leaves exactly the sorted
+    # rest of the class.
+    ordered = reference.values
+    order = sorted(range(reference.n), key=lambda i: reference.entries[i].value)
+    rank = [0] * reference.n
+    for position, i in enumerate(order):
+        rank[i] = position
+
     rows: list[LoovRow] = []
     for i, held_out in enumerate(reference.entries):
-        rest = sorted(values[:i] + values[i + 1 :])
+        rest = _WithoutPosition(ordered, rank[i])
         uplifts = {p: empirical_quantile(rest, p, method) for p in levels}
         prevented = {p: held_out.value <= uplifts[p] for p in levels}
         rows.append(
@@ -85,7 +110,7 @@ def loov_summary(rows: Sequence[LoovRow], p_level: float) -> LoovSummary:
 
 
 def _level_token(p: float) -> str:
-    return f"p{round(p * 100):d}"
+    return f"p{certainty_percent(p)}"
 
 
 def write_loov_csv(rows: Sequence[LoovRow], sink: IO[str]) -> None:

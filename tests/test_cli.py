@@ -299,11 +299,47 @@ def test_usage_errors_exit_1(table2_paths, tmp_path, capsys):
         ["curve", "--config", str(step_nan)],
         ["uplift", "--smooth", "--p", "0.005"],
         ["tiers", "--base", "100", "--scheme", "a:0.005"],
+        ["curve", "--grid-step", "0.5"],
+        ["curve", "--grid-step", "0.5", "--degree", "1"],
+        ["uplift", "--smooth", "--grid-step", "0.5", "--p", "0.5"],
+        ["tiers", "--base", "100", "--grid-step", "0.5", "--scheme", "a:0.5"],
     ):
         code, _, err = run(capsys, *bad, *args, "--stage", "C", "--metric", "cost")
         assert code == 1, bad
         assert "Traceback" not in err
         assert "Error:" in err
+
+
+def test_distinct_certainties_get_distinct_labels(tmp_path, capsys):
+    args = [
+        "--projects",
+        str(SHIPPED_DATA / "projects.csv"),
+        "--deflators",
+        str(SHIPPED_DATA / "deflators.csv"),
+        "--out",
+        str(tmp_path / "out"),
+        "--stage",
+        "C",
+        "--metric",
+        "cost",
+        "--p",
+        "0.5,0.501,0.005",
+    ]
+    code, stdout, _ = run(capsys, "uplift", *args)
+    assert code == 0
+    assert [line.split(",")[0] for line in stdout.splitlines()] == ["p", "0.50", "0.501", "0.005"]
+    code, stdout, _ = run(capsys, "validate", *args)
+    assert code == 0
+    lines = stdout.splitlines()
+    assert lines[0] == (
+        "project,p0.5_uplift,p50_uplift,p50.1_uplift,actual,"
+        "p0.5_prevented,p50_prevented,p50.1_prevented"
+    )
+    assert [line.split(":")[0] for line in lines if line.startswith("#")] == [
+        "# p0.5",
+        "# p50",
+        "# p50.1",
+    ]
 
 
 def test_method_is_case_insensitive_in_flags_and_config(table2_paths, tmp_path, capsys):

@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import corpus
+import oracles
 from refclass.errors import EmptyClassError
 from refclass.reference_class import (
     QuantileMethod,
@@ -30,6 +31,17 @@ def ecdf_scan(values, p):
         if k / n >= p:
             return x
     return ordered[-1]
+
+
+@example(n=340, p=0.55)  # 340 * 0.55 rounds up to 187.00000000000003
+@given(
+    n=st.integers(1, 5000),
+    p=st.integers(1, 100).map(lambda k: k / 100)
+    | st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+def test_inf_direct_index_matches_scan(n, p):
+    values = tuple(range(n))
+    assert empirical_quantile(values, p, INF) == oracles.empirical_quantile_scan(values, p, INF)
 
 
 def test_interpolated_median_of_18():

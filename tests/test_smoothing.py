@@ -1,7 +1,13 @@
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from refclass import smoothing
 from refclass.smoothing import loess_smooth, pool_adjacent_violators
 
 
@@ -69,6 +75,78 @@ def test_loess_parameter_validation():
         loess_smooth(points, span=1.2)
     with pytest.raises(InsufficientDataError):
         loess_smooth(points[:3], degree=2)
+
+
+# Reference dates drawn from a few days, so x repeats heavily and windows
+# often end inside a run of equal x.
+tied_points = st.integers(1, 8).flatmap(
+    lambda days: st.lists(
+        st.tuples(
+            st.integers(0, days).map(lambda day: 1990.0 + day / 365.0),
+            st.floats(min_value=-1.0, max_value=3.0),
+        ),
+        min_size=4,
+        max_size=60,
+    )
+)
+spans = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+degrees = st.sampled_from([1, 2])
+
+
+@settings(deadline=None)
+@given(points=tied_points, span=spans, degree=degrees)
+def test_loess_windows_match_stable_argsort(points, span, degree):
+    x = sorted(px for px, _ in points)
+    size = min(len(x), max(math.ceil(span * len(x)), degree + 2))
+    bounds, _ = smoothing._windows(x, size)
+    windows = [frozenset(row.tolist()) for row in smoothing._window_index(bounds, size)]
+    assert windows == oracles.loess_windows(x, size)
+
+
+@settings(deadline=None)
+@given(points=tied_points, span=spans, degree=degrees)
+def test_loess_power_sums_match_dense_hat_oracle(points, span, degree):
+    expected = oracles.loess_smooth(points, span=span, degree=degree)
+    with mock.patch.object(smoothing, "_DIRECT_MAX_POINTS", 0):
+        result = loess_smooth(points, span=span, degree=degree)
+    assert len(result) == len(expected)
+    for row, want in zip(result, expected):
+        assert row == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@settings(deadline=None)
+@given(points=tied_points, span=spans, degree=degrees)
+def test_loess_direct_path_is_bit_identical_to_dense_hat_oracle(points, span, degree):
+    assert loess_smooth(points, span=span, degree=degree) == oracles.loess_smooth(
+        points, span=span, degree=degree
+    )
+
+
+def test_loess_rank_deficient_windows_take_pinv_fallback():
+    # Only the points sharing x_i have positive weight (the other x sits at
+    # the window's edge distance), so no window supports a quadratic.
+    points = [(0.0, float(i)) for i in range(5)] + [(1.0, float(i * i)) for i in range(5)]
+    x = np.array(sorted(px for px, _ in points))
+    bounds, reach = smoothing._windows(x.tolist(), len(points))
+    *_, solved = smoothing._power_sum_fits(x, x, bounds, reach, len(points), 2)
+    assert not solved.any()
+    with mock.patch.object(smoothing, "_DIRECT_MAX_POINTS", 0):
+        result = loess_smooth(points, span=1.0, degree=2)
+    assert result == oracles.loess_smooth(points, span=1.0, degree=2)
+
+
+def test_loess_memory_stays_linear_in_points():
+    # A dense n x n hat matrix, and its elementwise square, would need
+    # 2 * 5000^2 * 8 bytes = 400 MB.
+    rng = np.random.default_rng(11)
+    points = list(zip(rng.uniform(1989, 1997, 5000).tolist(), rng.normal(0, 0.3, 5000).tolist()))
+    tracemalloc.start()
+    try:
+        loess_smooth(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_pav_pools_single_violation():

@@ -2,12 +2,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpus
+import oracles
 from conftest import make_class
 from refclass.errors import InsufficientDataError
 from refclass.formatting import round_half_away
-from refclass.reference_class import ReferenceClass
+from refclass.reference_class import QuantileMethod, ReferenceClass
 from refclass.validation import leave_one_out, loov_summary, write_loov_csv
 
 GOLDEN_CSV = """\
@@ -116,3 +118,26 @@ def test_mixed_stage_class_order(table2_class):
     # not the sorted value order used for quantiles.
     rows = leave_one_out(table2_class, (0.5,))
     assert [row.actual for row in rows] == list(corpus.TABLE2_VALUES)
+
+
+@settings(deadline=None)
+@given(
+    # Tenths from a narrow range give many ties; free floats give none.
+    values=st.lists(
+        st.integers(-5, 5).map(lambda k: k / 10) | st.floats(min_value=-0.9, max_value=3.0),
+        min_size=2,
+        max_size=40,
+    ),
+    levels=st.lists(
+        st.integers(1, 100).map(lambda k: k / 100)
+        | st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        min_size=1,
+        max_size=4,
+    ),
+    method=st.sampled_from(QuantileMethod),
+)
+def test_leave_one_out_matches_resorting_oracle(values, levels, method):
+    reference = ReferenceClass.from_values(values)
+    assert leave_one_out(reference, levels, method) == oracles.leave_one_out(
+        reference, levels, method
+    )
