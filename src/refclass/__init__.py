@@ -84,7 +84,6 @@ from .registry import (
     validate_record,
     write_project_records,
 )
-from .smoothing import loess_smooth, pool_adjacent_violators
 from .stats import DescriptiveStats, TestResult, descriptive_stats, mann_whitney_u, proportion_test
 from .validation import LoovRow, LoovSummary, leave_one_out, loov_summary, write_loov_csv
 
@@ -93,6 +92,17 @@ __version__ = "0.1.0"
 # Logging output is the application's choice. Without a handler here, a
 # warning would reach stderr through logging's last-resort handler.
 logging.getLogger(__name__).addHandler(logging.NullHandler())
+
+
+def __getattr__(name: str):
+    # The smoothing module imports numpy, so it is loaded on first use of
+    # its exports rather than with the package; commands that never fit
+    # loess start without numpy.
+    if name in ("loess_smooth", "pool_adjacent_violators"):
+        from . import smoothing
+
+        return getattr(smoothing, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BenchmarkConstants",

@@ -33,6 +33,7 @@ from .contingency import (
     tier_allocation,
 )
 from .errors import (
+    DataFormatError,
     EmptyClassError,
     NonMonotoneCurveError,
     RefclassError,
@@ -105,7 +106,8 @@ _SETTINGS: dict[str, dict] = {
     "degree": dict(type=click.IntRange(1, 2), default=2, help="Loess degree."),
     "grid_step": dict(type=_FloatRange(0, 0.99, min_open=True), default=0.01,
                       help="Certainty grid step."),
-    "out": dict(default="out", help="Output directory (default ./out)."),
+    "out": dict(type=click.Path(file_okay=False), default="out",
+                help="Output directory (default ./out)."),
 }
 
 
@@ -115,9 +117,11 @@ def _read_config(ctx: click.Context, _param, path: str | None) -> None:
     if path is None:
         return
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise click.UsageError(f"cannot read config file: {exc}")
+    except UnicodeDecodeError:
+        raise click.UsageError(f"config file {path} is not UTF-8 text")
     defaults: dict[str, str] = {}
     for line_number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -196,19 +200,26 @@ def _required(path: str | None, key: str) -> str:
     return path
 
 
+def _parse_file(path: str, parse, newline: str | None = None):
+    """Parse the UTF-8 text file at ``path``; undecodable bytes are a data error."""
+
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        try:
+            return parse(handle)
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{path} is not UTF-8 text") from None
+
+
 def _observations(projects: str | None, deflators: str | None, era_cutoff: date):
-    with open(_required(projects, "projects"), newline="") as handle:
-        records = parse_project_records(handle)
-    with open(_required(deflators, "deflators"), newline="") as handle:
-        series = parse_deflator_series(handle)
+    records = _parse_file(_required(projects, "projects"), parse_project_records, newline="")
+    series = _parse_file(_required(deflators, "deflators"), parse_deflator_series, newline="")
     return records, derive_all_observations(records, series, era_cutoff)
 
 
 def _load_benchmark(path: str | None):
     if path is None:
         return None
-    with open(path) as handle:
-        return parse_benchmark_constants(handle)
+    return _parse_file(path, parse_benchmark_constants)
 
 
 def _class_for(observations, stage: str, metric: str, min_outturn: int):
@@ -244,7 +255,7 @@ def _curve_grid(grid_step: float, degree: int, levels=(), option: str = "") -> t
 def _emit(out: str, filename: str, text: str) -> None:
     directory = Path(out)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / filename).write_text(text)
+    (directory / filename).write_text(text, encoding="utf-8")
 
 
 def _quantile_methods(method: str) -> list[QuantileMethod]:
@@ -465,8 +476,9 @@ def cmd_tiers(stage: str, metric: str, base: int, scheme, no_isotonic: bool, pro
 def cmd_check(projects, deflators, benchmark, **_unused) -> None:
     """Registry validation only: report every consistency violation."""
 
-    with open(_required(projects, "projects"), newline="") as handle:
-        records, reports = parse_project_records_lenient(handle)
+    records, reports = _parse_file(
+        _required(projects, "projects"), parse_project_records_lenient, newline=""
+    )
 
     problem_count = 0
     for record in records:
@@ -475,8 +487,7 @@ def cmd_check(projects, deflators, benchmark, **_unused) -> None:
             click.echo(f"{violation.code}: {violation.message}")
 
     if deflators is not None:
-        with open(deflators, newline="") as handle:
-            parse_deflator_series(handle)
+        _parse_file(deflators, parse_deflator_series, newline="")
     _load_benchmark(benchmark)
 
     if problem_count:

@@ -25,8 +25,10 @@ from typing import Iterable, Sequence
 from .errors import EmptyClassError, InsufficientDataError, NonMonotoneCurveError
 from .normalization import DEFAULT_ERA_CUTOFF, OverrunObservation
 from .registry import Metric, Stage
-from .smoothing import loess_smooth, pool_adjacent_violators
 from .stats import TestResult, mann_whitney_u
+
+# The loess fit and the isotonic repair import .smoothing, and numpy with
+# it, where they run, so a command that never smooths starts without numpy.
 
 logger = logging.getLogger(__name__)
 
@@ -298,6 +300,8 @@ def smooth_curve(curve: UpliftCurve, span: float = 0.75, degree: int = 2) -> Upl
     any consumer that requires monotonicity.
     """
 
+    from .smoothing import loess_smooth
+
     smoothed = tuple(loess_smooth(curve.points, span=span, degree=degree))
     fits = [f for _, f, _, _ in smoothed]
     monotone = all(b >= a for a, b in zip(fits, fits[1:]))
@@ -313,6 +317,8 @@ def isotonic_adjust(curve: UpliftCurve) -> UpliftCurve:
 
     if curve.smoothed is None:
         raise ValueError("curve has no smoothed series to adjust")
+    from .smoothing import pool_adjacent_violators
+
     fits = [f for _, f, _, _ in curve.smoothed]
     adjusted = pool_adjacent_violators(fits)
     smoothed = tuple(
@@ -369,6 +375,8 @@ def trend_by_date(
         raise InsufficientDataError(
             f"trend needs at least 4 dated observations, got {len(dated)}"
         )
+    from .smoothing import loess_smooth
+
     points = [(_year_fraction(o.reference_date), o.value) for o in dated]
     smoothed = loess_smooth(points, span=span, degree=degree)
     trend = [

@@ -309,6 +309,24 @@ def test_usage_errors_exit_1(table2_paths, tmp_path, capsys):
         assert "Traceback" not in err
         assert "Error:" in err
 
+    latin1 = tmp_path / "latin1.conf"
+    latin1.write_bytes(b"# caf\xe9\nspan = 0.5\n")
+    code, _, err = run(capsys, "curve", *args, "--stage", "C", "--metric", "cost",
+                       "--config", str(latin1))
+    assert code == 1
+    assert "Traceback" not in err
+    assert "is not UTF-8 text" in err
+
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    out_conf = tmp_path / "out.conf"
+    out_conf.write_text(f"out = {a_file}\n")
+    inputs = ["--projects", table2_paths["projects"], "--deflators", table2_paths["deflators"]]
+    for out in (["--out", str(a_file)], ["--config", str(out_conf)]):
+        code, _, err = run(capsys, "overruns", *inputs, *out, "--stage", "C", "--metric", "cost")
+        assert code == 1, out
+        assert "'--out'" in err
+
 
 def test_distinct_certainties_get_distinct_labels(tmp_path, capsys):
     args = [
@@ -381,6 +399,48 @@ def test_empty_class_error_is_one_stderr_line(table2_paths, tmp_path):
     assert done.stderr.startswith("error:")
 
 
+# Run in a fresh interpreter: pytest's own process has numpy loaded already.
+_IMPORT_BOUNDARY_PROBE = """
+import sys
+from refclass.cli import main
+
+data, out = sys.argv[1], sys.argv[2]
+files = ["--projects", data + "/projects.csv", "--deflators", data + "/deflators.csv",
+         "--out", out]
+class_args = ["--stage", "C", "--metric", "cost"]
+for argv in (["check"], ["overruns", *class_args], ["validate", *class_args],
+             ["benchmark", "--benchmark", data + "/benchmark.json"]):
+    assert main([*argv, *files]) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert main(["curve", *class_args, *files]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_loess_commands_import_numpy(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BOUNDARY_PROBE, str(SHIPPED_DATA), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        cwd=SHIPPED_DATA.parent,
+        env={"PATH": os.environ.get("PATH", os.defpath), "PYTHONPATH": "src", "LC_ALL": "C.UTF-8"},
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_lazy_exports_resolve_to_smoothing():
+    from refclass import smoothing
+
+    assert refclass.loess_smooth is smoothing.loess_smooth
+    assert refclass.pool_adjacent_violators is smoothing.pool_adjacent_violators
+    namespace: dict = {}
+    exec("from refclass import *", namespace)
+    assert namespace["loess_smooth"] is smoothing.loess_smooth
+    assert namespace["pool_adjacent_violators"] is smoothing.pool_adjacent_violators
+    with pytest.raises(AttributeError):
+        refclass.no_such_name
+
+
 def test_data_errors_exit_2(table2_paths, tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -413,6 +473,19 @@ def test_data_errors_exit_2(table2_paths, tmp_path, capsys):
     )
     assert code == 2
     assert "2001" in err
+
+    not_utf8 = tmp_path / "not_utf8.csv"
+    not_utf8.write_bytes(b"year,index\n\xff\n")
+    projects, deflators = table2_paths["projects"], table2_paths["deflators"]
+    for files in (
+        ["--projects", str(not_utf8), "--deflators", deflators],
+        ["--projects", projects, "--deflators", str(not_utf8)],
+        ["--projects", projects, "--deflators", deflators, "--benchmark", str(not_utf8)],
+    ):
+        for command in ("benchmark", "check"):
+            code, _, err = run(capsys, command, *files, "--out", str(tmp_path / "out"))
+            assert code == 2, (command, files)
+            assert err == f"error: {not_utf8} is not UTF-8 text\n"
 
 
 def test_empty_class_exits_3(table2_paths, tmp_path, capsys):
