@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import math
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, fields
@@ -156,8 +157,10 @@ class DeflatorSeries:
             if cur != prev + 1:
                 raise DataFormatError(f"deflator series is missing year {prev + 1}")
         for year, value in items:
-            if not value > 0:
-                raise DataFormatError(f"deflator index for {year} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise DataFormatError(
+                    f"deflator index for {year} must be a positive finite number, got {value}"
+                )
         if base_year is None:
             base_year = years[0]
         if not years[0] <= base_year <= years[-1]:
@@ -203,6 +206,10 @@ class BenchmarkConstants:
     mean_duration_years: float
 
     def __post_init__(self) -> None:
+        for name in ("mean_cost_overrun", "mean_schedule_overrun"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"benchmark {self.label!r}: {name} must be finite, got {value}")
         if self.n_projects < 1:
             raise ValueError(f"benchmark {self.label!r}: n_projects must be >= 1")
         for name in ("cost_overrun_frequency", "schedule_overrun_frequency"):
@@ -210,10 +217,16 @@ class BenchmarkConstants:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"benchmark {self.label!r}: {name} must lie in [0, 1], got {value}")
         for name in ("cost_overrun_sd", "schedule_overrun_sd"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"benchmark {self.label!r}: {name} must be non-negative")
-        if self.mean_duration_years <= 0:
-            raise ValueError(f"benchmark {self.label!r}: mean_duration_years must be positive")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"benchmark {self.label!r}: {name} must be a non-negative finite number, got {value}"
+                )
+        if not 0 < self.mean_duration_years < math.inf:
+            raise ValueError(
+                f"benchmark {self.label!r}: mean_duration_years must be a positive finite number, "
+                f"got {self.mean_duration_years}"
+            )
 
 
 #: Published road-project comparison group used as the default external anchor.
@@ -568,9 +581,13 @@ def parse_benchmark_constants(source: str | IO[str]) -> dict[str, BenchmarkConst
             raise DataFormatError(f"benchmark {label!r}: missing fields {', '.join(missing)}")
         try:
             values = {f.name: _NUMBER_TYPES[f.type](body[f.name]) for f in numeric}
-            result[label] = BenchmarkConstants(label=label, **values)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"benchmark {label!r}: {exc}") from None
+        try:
+            result[label] = BenchmarkConstants(label=label, **values)
+        except ValueError as exc:
+            # The constants' own checks already name the label.
+            raise DataFormatError(str(exc)) from None
     return result
 
 

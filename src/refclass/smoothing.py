@@ -12,15 +12,26 @@ h_j = w_j * sum_k c_k t_j^k, where t = (x - x_i) / d_max scales the window
 into [-1, 1], w is the tricube weight and c solves the small centred system
 M c = e_0 with M_kl = sum w t^(k+l). So the fit, the hat diagonal (c_0) and
 the hat row's sum of squares (c' M2 c, M2_kl = sum w^2 t^(k+l)) all follow
-from weighted power sums, computed for blocks of points at a time; no n x n
-matrix is formed, so memory stays linear in n. A window whose system is
-singular or ill-conditioned (too few distinct x with positive weight) is
-solved directly by a pseudo-inverse, and one whose x values all coincide
-takes the local mean. Fits of at most 128 points, which covers every
-uplift curve, solve every point directly and keep the dense n x n hat
-matrix (at most 128 KiB), so their output is the same to the last bit. The
-pointwise standard error is sqrt(sigma^2 * sum_j h_j^2), with the residual
-variance sigma^2 estimated globally; the 95 percent band is fit +/- 1.96 * SE.
+from weighted power sums, computed for blocks of points at a time in work
+arrays allocated once per fit; no n x n matrix is formed, so memory stays
+linear in n.
+
+Points with equal x (reference dates repeat) have the same distances to
+every point, so the same window, local system and fit: the power sums are
+taken once per distinct x and copied to the rest of its run. The hat
+diagonal is shared too: when the window's reach d_max is positive, every
+point tied with x_i lies strictly inside it, at t = 0 with w = 1, so its
+diagonal is the same c_0. A window whose system is singular or
+ill-conditioned (too few distinct x with positive weight) is solved
+directly, per point, by a pseudo-inverse, and one whose x values all
+coincide (d_max = 0) takes the local mean; a point of a tie run longer than
+the window may then lie outside its own window, with hat diagonal 0.
+
+Fits of at most 128 points, which covers every uplift curve, solve every
+point directly and keep the dense n x n hat matrix (at most 128 KiB), so
+their output is the same to the last bit. The pointwise standard error is
+sqrt(sigma^2 * sum_j h_j^2), with the residual variance sigma^2 estimated
+globally; the 95 percent band is fit +/- 1.96 * SE.
 
 pool_adjacent_violators is the least-squares projection onto non-decreasing
 sequences: scan forward, merge adjacent blocks whose means are out of order,
@@ -31,7 +42,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -91,10 +102,12 @@ def loess_smooth(
         hat_diagonal = np.diagonal(hat)
         hat_row_ss = np.sum(hat * hat, axis=1)
     else:
-        bounds, reach = _windows(x.tolist(), window_size)
-        fits, hat_diagonal, hat_row_ss, solved = _power_sum_fits(
-            x, y, bounds, reach, window_size, degree
-        )
+        # Tied x share their window and fit: solve each run's first point.
+        heads = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+        run_lengths = np.diff(np.r_[heads, n])
+        bounds, reach = _windows(x.tolist(), heads.tolist(), window_size)
+        per_head = _power_sum_fits(x, y, heads, bounds, reach, window_size, degree)
+        fits, hat_diagonal, hat_row_ss, solved = (np.repeat(a, run_lengths) for a in per_head)
         for i in np.flatnonzero(~solved):
             fits[i], window, hat_row = _direct_fit(x, y, i, window_size, degree)
             hat_diagonal[i] = hat_row[window == i].sum()
@@ -104,34 +117,59 @@ def loess_smooth(
     effective_df = float(hat_diagonal.sum())
     denom = max(float(n) - effective_df, 1.0)
     sigma2 = float(residuals @ residuals) / denom
-    se = np.sqrt(sigma2 * hat_row_ss)
-
-    return [
-        (float(x[i]), float(fits[i]), float(fits[i] - _Z_95 * se[i]), float(fits[i] + _Z_95 * se[i]))
-        for i in range(n)
-    ]
+    band = _Z_95 * np.sqrt(sigma2 * hat_row_ss)
+    return list(zip(x.tolist(), fits.tolist(), (fits - band).tolist(), (fits + band).tolist()))
 
 
 def _power_sum_fits(
     x: np.ndarray,
     y: np.ndarray,
+    rows: np.ndarray,
     bounds: np.ndarray,
     reach: np.ndarray,
     size: int,
     degree: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fit, hat diagonal and hat-row sum of squares at every point from the
-    windows' weighted power sums, plus a mask of the points this solved;
-    the rest have singular or ill-conditioned local systems."""
+    """Fit, hat diagonal and hat-row sum of squares at the points ``rows``
+    (with their windows' ``bounds`` and ``reach``) from the windows'
+    weighted power sums, plus a mask of the rows this solved; the rest have
+    singular or ill-conditioned local systems."""
 
-    n = len(x)
-    # sums[m, i, k] = sum over point i's window of m t^k, for m = w, w^2, w y.
+    n = len(rows)
+    # sums[m, r, k] = sum over row r's window of m t^k, for m = w, w^2, w y.
     sums = np.empty((3, n, 2 * degree + 1))
     block = max(1, _BLOCK_ENTRIES // size)
+    # One set of work arrays for every block: the window index, t, and the
+    # terms w, w^2 and w y, multiplied by t once per power.
+    buffers = (
+        np.empty((block, size), dtype=np.intp),
+        np.empty((block, size)),
+        np.empty((3, block, size)),
+        np.empty((block, size)),
+    )
+    scale = np.where(reach > 0.0, reach, 1.0)[:, None]
     for start in range(0, n, block):
-        rows = np.arange(start, min(n, start + block))
-        index = _window_index(bounds[:, rows], size)
-        sums[:, rows] = _weighted_power_sums(x, y, rows, index, reach[rows], degree)
+        stop = min(n, start + block)
+        index, t, terms, scratch = (buffer[..., : stop - start, :] for buffer in buffers)
+        _window_index(bounds[:, start:stop], size, out=index)
+        # mode="clip" lets take write straight into out (the indices are valid).
+        np.take(x, index, out=t, mode="clip")
+        t -= x[rows[start:stop], None]
+        t /= scale[start:stop]
+        # Tricube weights; |t| <= 1 inside the window, so none is negative.
+        weights = terms[0]
+        np.multiply(t, t, out=weights)
+        weights *= t
+        np.abs(weights, out=weights)
+        np.subtract(1.0, weights, out=weights)
+        np.multiply(weights, weights, out=scratch)
+        weights *= scratch
+        np.multiply(weights, weights, out=terms[1])
+        np.take(y, index, out=terms[2], mode="clip")
+        terms[2] *= weights
+        for k in range(2 * degree + 1):
+            np.sum(terms, axis=-1, out=sums[:, start:stop, k])
+            terms *= t
 
     pairs = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
     system = sums[0][:, pairs]
@@ -145,11 +183,13 @@ def _power_sum_fits(
     c = np.linalg.solve(system, unit)[..., 0]
     fits = np.einsum("ik,ik->i", c, sums[2][:, : degree + 1])
     hat_row_ss = np.einsum("ik,ikl,il->i", c, sums[1][:, pairs], c)
-    return fits, c[:, 0].copy(), hat_row_ss, solved
+    return fits, c[:, 0], hat_row_ss, solved
 
 
-def _windows(x: list[float], size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's window over ascending ``x``.
+def _windows(
+    x: list[float], rows: Iterable[int], size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The window of each point in ``rows`` (ascending) over ascending ``x``.
 
     Returns bounds, rows (first, count, second) naming the indices [first,
     first + count) and [second, second + size - count), and reach, the
@@ -163,7 +203,8 @@ def _windows(x: list[float], size: int) -> tuple[np.ndarray, np.ndarray]:
     bounds: list[tuple[int, int, int]] = []
     reach: list[float] = []
     lo = 0
-    for i, xi in enumerate(x):
+    for i in rows:
+        xi = x[i]
         # [lo, lo + size) slides right while the next point beyond it is no
         # farther than its left end; stopping at lo = i keeps i inside.
         while lo < i and lo + size < n and abs(x[lo + size] - xi) <= abs(x[lo] - xi):
@@ -191,36 +232,15 @@ def _windows(x: list[float], size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(bounds, dtype=np.intp).T, np.array(reach)
 
 
-def _window_index(bounds: np.ndarray, size: int) -> np.ndarray:
-    """The window indices, one row per column of ``bounds``."""
+def _window_index(bounds: np.ndarray, size: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The window indices, one row per column of ``bounds``, written to
+    ``out`` if given."""
 
     first, count, second = bounds
-    index = (second - count)[:, None] + np.arange(size)
+    index = np.add((second - count)[:, None], np.arange(size), out=out)
     for b in np.flatnonzero(count):
         index[b, : count[b]] = np.arange(first[b], first[b] + count[b])
     return index
-
-
-def _weighted_power_sums(
-    x: np.ndarray,
-    y: np.ndarray,
-    rows: np.ndarray,
-    index: np.ndarray,
-    reach: np.ndarray,
-    degree: int,
-) -> np.ndarray:
-    """sum w t^k, sum w^2 t^k and sum w y t^k over each window, k <= 2 degree."""
-
-    t = (x[index] - x[rows, None]) / np.where(reach > 0.0, reach, 1.0)[:, None]
-    # Tricube weights; |t| <= 1 inside the window, so none is negative.
-    weights = 1.0 - np.abs(t * t * t)
-    weights *= weights * weights
-    terms = np.stack([weights, weights * weights, weights * y[index]])
-    sums = np.empty((3, len(rows), 2 * degree + 1))
-    for k in range(2 * degree + 1):
-        sums[..., k] = terms.sum(axis=-1)
-        terms *= t
-    return sums
 
 
 def _direct_fit(

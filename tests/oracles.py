@@ -3,8 +3,9 @@
 Each function is the straightforward version the package used before its
 fast path: leave-one-out re-sorts the other n - 1 values per held-out
 project, loess argsorts every distance row and takes a pseudo-inverse per
-point while filling a dense n x n hat matrix, and Fisher's test builds a
-Fraction per table. They are quadratic or worse, so tests call them on
+point while filling a dense n x n hat matrix (and its power-sum form solves
+every point, tied x included, with fresh work arrays per block), and
+Fisher's test builds a Fraction per table. They are quadratic or worse, so tests call them on
 small inputs only.
 """
 
@@ -16,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from refclass import smoothing
 from refclass.errors import InsufficientDataError
 from refclass.reference_class import QuantileMethod, ReferenceClass
 from refclass.validation import LoovRow
@@ -125,6 +127,60 @@ def loess_smooth(
     sigma2 = float(residuals @ residuals) / denom
     se = np.sqrt(sigma2 * np.sum(hat * hat, axis=1))
 
+    return [
+        (float(x[i]), float(fits[i]), float(fits[i] - _Z_95 * se[i]), float(fits[i] + _Z_95 * se[i]))
+        for i in range(n)
+    ]
+
+
+def loess_smooth_per_point(
+    points: Sequence[tuple[float, float]],
+    span: float = 0.75,
+    degree: int = 2,
+) -> list[tuple[float, float, float, float]]:
+    """The power-sum loess with one window and one local solve per point,
+    tied x included, and fresh block temporaries; windows the power sums
+    cannot solve go through ``smoothing._direct_fit`` as in the package."""
+
+    order = sorted(range(len(points)), key=lambda i: (points[i][0], i))
+    x = np.array([points[i][0] for i in order], dtype=float)
+    y = np.array([points[i][1] for i in order], dtype=float)
+    n = len(x)
+    size = min(n, max(math.ceil(span * n), degree + 2))
+    bounds, reach = smoothing._windows(x.tolist(), range(n), size)
+
+    sums = np.empty((3, n, 2 * degree + 1))
+    block = max(1, smoothing._BLOCK_ENTRIES // size)
+    for start in range(0, n, block):
+        rows = np.arange(start, min(n, start + block))
+        index = smoothing._window_index(bounds[:, rows], size)
+        t = (x[index] - x[rows, None]) / np.where(reach[rows] > 0.0, reach[rows], 1.0)[:, None]
+        weights = 1.0 - np.abs(t * t * t)
+        weights *= weights * weights
+        terms = np.stack([weights, weights * weights, weights * y[index]])
+        for k in range(2 * degree + 1):
+            sums[:, rows, k] = terms.sum(axis=-1)
+            terms *= t
+
+    pairs = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
+    system = sums[0][:, pairs]
+    eigenvalues = np.linalg.eigvalsh(system)
+    solved = (reach > 0.0) & (eigenvalues[:, 0] * smoothing._MAX_CONDITION > eigenvalues[:, -1])
+    system[~solved] = np.eye(degree + 1)
+    unit = np.zeros((n, degree + 1, 1))
+    unit[:, 0] = 1.0
+    c = np.linalg.solve(system, unit)[..., 0]
+    fits = np.einsum("ik,ik->i", c, sums[2][:, : degree + 1])
+    hat_diagonal = c[:, 0].copy()
+    hat_row_ss = np.einsum("ik,ikl,il->i", c, sums[1][:, pairs], c)
+    for i in np.flatnonzero(~solved):
+        fits[i], window, hat_row = smoothing._direct_fit(x, y, i, size, degree)
+        hat_diagonal[i] = hat_row[window == i].sum()
+        hat_row_ss[i] = hat_row @ hat_row
+
+    residuals = y - fits
+    sigma2 = float(residuals @ residuals) / max(float(n) - float(hat_diagonal.sum()), 1.0)
+    se = np.sqrt(sigma2 * hat_row_ss)
     return [
         (float(x[i]), float(fits[i]), float(fits[i] - _Z_95 * se[i]), float(fits[i] + _Z_95 * se[i]))
         for i in range(n)

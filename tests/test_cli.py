@@ -487,6 +487,39 @@ def test_data_errors_exit_2(table2_paths, tmp_path, capsys):
             assert code == 2, (command, files)
             assert err == f"error: {not_utf8} is not UTF-8 text\n"
 
+    # A non-finite deflator index, in the base year or any other.
+    for year in (1998, 2001):
+        inf_index = tmp_path / f"inf_{year}.csv"
+        inf_index.write_text(corpus.flat_deflator_csv().replace(f"{year},100.0", f"{year},inf"))
+        files = ["--projects", projects, "--deflators", str(inf_index), "--out", str(tmp_path / "out")]
+        for command in ("uplift", "curve", "validate", "benchmark", "check"):
+            extra = ["--stage", "C", "--metric", "cost"] if command in ("uplift", "curve", "validate") else []
+            code, _, err = run(capsys, command, *files, *extra)
+            assert code == 2, (command, year)
+            assert err == f"error: deflator index for {year} must be a positive finite number, got inf\n"
+
+    # Non-finite or overflowing benchmark constants, and a range error that
+    # names its label once.
+    good = json.loads(corpus.BENCHMARK_JSON)["international-roads"]
+    for name, value, message in [
+        ("n_projects", float("inf"), "cannot convert float infinity to integer"),
+        ("mean_cost_overrun", float("nan"), "mean_cost_overrun must be finite, got nan"),
+        ("mean_schedule_overrun", float("inf"), "mean_schedule_overrun must be finite, got inf"),
+        ("cost_overrun_sd", float("nan"), "cost_overrun_sd must be a non-negative finite number, got nan"),
+        ("schedule_overrun_sd", float("inf"), "schedule_overrun_sd must be a non-negative finite number, got inf"),
+        ("mean_duration_years", float("inf"), "mean_duration_years must be a positive finite number, got inf"),
+        ("cost_overrun_frequency", 2.0, "cost_overrun_frequency must lie in [0, 1], got 2.0"),
+    ]:
+        bad = tmp_path / f"benchmark_{name}.json"
+        bad.write_text(json.dumps({"international-roads": {**good, name: value}}))
+        for command in ("benchmark", "check"):
+            code, _, err = run(
+                capsys, command, "--projects", projects, "--deflators", deflators,
+                "--benchmark", str(bad), "--out", str(tmp_path / "out"),
+            )
+            assert code == 2, (command, name)
+            assert err == f"error: benchmark 'international-roads': {message}\n"
+
 
 def test_empty_class_exits_3(table2_paths, tmp_path, capsys):
     args = base_args(table2_paths, tmp_path / "out")

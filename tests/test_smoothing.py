@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from refclass import smoothing
@@ -98,9 +98,15 @@ degrees = st.sampled_from([1, 2])
 def test_loess_windows_match_stable_argsort(points, span, degree):
     x = sorted(px for px, _ in points)
     size = min(len(x), max(math.ceil(span * len(x)), degree + 2))
-    bounds, _ = smoothing._windows(x, size)
+    expected = oracles.loess_windows(x, size)
+    bounds, _ = smoothing._windows(x, range(len(x)), size)
     windows = [frozenset(row.tolist()) for row in smoothing._window_index(bounds, size)]
-    assert windows == oracles.loess_windows(x, size)
+    assert windows == expected
+    # Scanning only the first point of each run of equal x finds the same windows.
+    heads = [i for i in range(len(x)) if i == 0 or x[i] != x[i - 1]]
+    bounds, _ = smoothing._windows(x, heads, size)
+    windows = [frozenset(row.tolist()) for row in smoothing._window_index(bounds, size)]
+    assert windows == [expected[i] for i in heads]
 
 
 @settings(deadline=None)
@@ -122,13 +128,52 @@ def test_loess_direct_path_is_bit_identical_to_dense_hat_oracle(points, span, de
     )
 
 
+@settings(deadline=None)
+@given(points=tied_points, span=spans, degree=degrees)
+def test_loess_one_fit_per_distinct_x_is_bit_identical_to_per_point_fits(points, span, degree):
+    with mock.patch.object(smoothing, "_DIRECT_MAX_POINTS", 0):
+        result = loess_smooth(points, span=span, degree=degree)
+    assert result == oracles.loess_smooth_per_point(points, span=span, degree=degree)
+
+
+# Classes above the direct path's size, dated on a few hundred days.
+dated_points = st.integers(1, 400).flatmap(
+    lambda days: st.lists(
+        st.tuples(
+            st.integers(0, days).map(lambda day: 1990.0 + day / 365.0),
+            st.floats(min_value=-1.0, max_value=3.0),
+        ),
+        min_size=smoothing._DIRECT_MAX_POINTS + 1,
+        max_size=400,
+    )
+)
+# 150 equal x then 59 spread: the tie block outgrows the window (d_max = 0,
+# and the points past the window get hat diagonal 0).
+_LONG_TIE_BLOCK = [(1990.0, float(i % 7)) for i in range(150)] + [
+    (1990.5 + i / 20.0, float(i)) for i in range(59)
+]
+_ALL_DISTINCT = [(1990.0 + i / 365.0, math.sin(i)) for i in range(200)]
+
+
+@settings(deadline=None)
+@given(points=dated_points, span=spans, degree=degrees)
+@example(points=_LONG_TIE_BLOCK, span=0.05, degree=2)
+@example(points=_LONG_TIE_BLOCK, span=0.3, degree=1)
+@example(points=_ALL_DISTINCT, span=0.3, degree=2)
+def test_loess_large_dated_classes_are_bit_identical_to_per_point_fits(points, span, degree):
+    assert loess_smooth(points, span=span, degree=degree) == oracles.loess_smooth_per_point(
+        points, span=span, degree=degree
+    )
+
+
 def test_loess_rank_deficient_windows_take_pinv_fallback():
     # Only the points sharing x_i have positive weight (the other x sits at
     # the window's edge distance), so no window supports a quadratic.
     points = [(0.0, float(i)) for i in range(5)] + [(1.0, float(i * i)) for i in range(5)]
     x = np.array(sorted(px for px, _ in points))
-    bounds, reach = smoothing._windows(x.tolist(), len(points))
-    *_, solved = smoothing._power_sum_fits(x, x, bounds, reach, len(points), 2)
+    rows = np.arange(len(points))
+    bounds, reach = smoothing._windows(x.tolist(), rows, len(points))
+    *_, solved = smoothing._power_sum_fits(x, x, rows, bounds, reach, len(points), 2)
     assert not solved.any()
     with mock.patch.object(smoothing, "_DIRECT_MAX_POINTS", 0):
         result = loess_smooth(points, span=1.0, degree=2)
