@@ -139,43 +139,24 @@ def write_benchmark_csv(report: BenchmarkReport, sink: IO[str]) -> None:
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["measure", "benchmark", "cat_c", "cat_b", "cat_a", "p_value", "test"])
     c = report.constants
-
-    def constant(value: float | None, digits: int = 4) -> str:
-        return "" if value is None else f"{value:.{digits}f}"
-
+    # (row name, metric, DescriptiveStats field, BenchmarkConstants field, test kind)
     measures = [
-        ("average_cost_overrun", Metric.COST, "mean", None if c is None else c.mean_cost_overrun, "mean"),
-        (
-            "frequency_of_cost_overruns",
-            Metric.COST,
-            "overrun_frequency",
-            None if c is None else c.cost_overrun_frequency,
-            "frequency",
-        ),
-        ("sd_of_cost_overrun", Metric.COST, "sd", None if c is None else c.cost_overrun_sd, None),
-        (
-            "average_schedule_overrun",
-            Metric.SCHEDULE,
-            "mean",
-            None if c is None else c.mean_schedule_overrun,
-            "mean",
-        ),
-        (
-            "frequency_of_schedule_overruns",
-            Metric.SCHEDULE,
-            "overrun_frequency",
-            None if c is None else c.schedule_overrun_frequency,
-            "frequency",
-        ),
-        ("sd_of_schedule_overrun", Metric.SCHEDULE, "sd", None if c is None else c.schedule_overrun_sd, None),
+        ("average_cost_overrun", Metric.COST, "mean", "mean_cost_overrun", "mean"),
+        ("frequency_of_cost_overruns", Metric.COST, "overrun_frequency", "cost_overrun_frequency", "frequency"),
+        ("sd_of_cost_overrun", Metric.COST, "sd", "cost_overrun_sd", None),
+        ("average_schedule_overrun", Metric.SCHEDULE, "mean", "mean_schedule_overrun", "mean"),
+        ("frequency_of_schedule_overruns", Metric.SCHEDULE, "overrun_frequency", "schedule_overrun_frequency",
+         "frequency"),
+        ("sd_of_schedule_overrun", Metric.SCHEDULE, "sd", "schedule_overrun_sd", None),
     ]
-    for name, metric, field, benchmark_value, test_kind in measures:
+    for name, metric, field, constant_field, test_kind in measures:
+        benchmark = "" if c is None else f"{getattr(c, constant_field):.4f}"
         cells = _stage_cell(report, metric, field)
         p_value, test_name = "", ""
         if test_kind is not None:
             p_value, test_name = _test_cells(report.row(Stage.C, metric), test_kind)
         writer.writerow(
-            [name, constant(benchmark_value), cells[Stage.C], cells[Stage.B], cells[Stage.A], p_value, test_name]
+            [name, benchmark, cells[Stage.C], cells[Stage.B], cells[Stage.A], p_value, test_name]
         )
     writer.writerow(
         [
@@ -192,9 +173,7 @@ def write_benchmark_csv(report: BenchmarkReport, sink: IO[str]) -> None:
 
 def benchmark_report_as_dict(report: BenchmarkReport) -> dict:
     def test_dict(test: TestResult | None):
-        if test is None:
-            return None
-        return {"name": test.name, "statistic": test.statistic, "p_value": test.p_value}
+        return None if test is None else asdict(test)
 
     return {
         "mapping_note": report.mapping_note,
@@ -205,11 +184,7 @@ def benchmark_report_as_dict(report: BenchmarkReport) -> dict:
             {
                 "stage": str(row.stage),
                 "metric": str(row.metric),
-                "n": row.stats.n,
-                "mean": row.stats.mean,
-                "sd": row.stats.sd,
-                "sd_defined": row.stats.sd_defined,
-                "overrun_frequency": row.stats.overrun_frequency,
+                **asdict(row.stats),
                 "comparable": row.comparable,
                 "mean_test": test_dict(row.mean_test),
                 "frequency_test": test_dict(row.frequency_test),

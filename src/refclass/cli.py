@@ -20,47 +20,11 @@ from pathlib import Path
 
 import click
 
-from .benchmarking import (
-    benchmark_report,
-    phase_breakdown,
-    write_benchmark_csv,
-    write_benchmark_json,
-)
-from .contingency import (
-    DEFAULT_TIER_SCHEME,
-    TierScheme,
-    allocation_as_dict,
-    tier_allocation,
-)
-from .errors import (
-    DataFormatError,
-    EmptyClassError,
-    NonMonotoneCurveError,
-    RefclassError,
-)
-from .formatting import certainty_percent, certainty_text, round_half_away
-from .normalization import DEFAULT_ERA_CUTOFF, derive_all_observations
-from .plot import curve_svg
-from .reference_class import (
-    DEFAULT_MIN_OUTTURN,
-    ClassFilter,
-    QuantileMethod,
-    build_class,
-    default_probability_grid,
-    isotonic_adjust,
-    smooth_curve,
-    uplift as class_uplift,
-    uplift_curve,
-)
-from .registry import (
-    Metric,
-    Stage,
-    parse_benchmark_constants,
-    parse_deflator_series,
-    parse_project_records,
-    parse_project_records_lenient,
-)
-from .validation import leave_one_out, loov_summary, write_loov_csv
+# Only what the option definitions need is imported here. Each command
+# imports the modules it runs, so no command loads another command's modules.
+from .errors import DataFormatError, EmptyClassError, NonMonotoneCurveError, RefclassError
+from .normalization import DEFAULT_ERA_CUTOFF
+from .reference_class import DEFAULT_MIN_OUTTURN
 
 
 class _IsoDate(click.ParamType):
@@ -156,6 +120,8 @@ def _parse_p_list(_ctx, _param, value):
 
 
 def _parse_scheme(_ctx, _param, value):
+    from .contingency import TierScheme
+
     if value is None:
         return None
     tiers = []
@@ -211,18 +177,26 @@ def _parse_file(path: str, parse, newline: str | None = None):
 
 
 def _observations(projects: str | None, deflators: str | None, era_cutoff: date):
+    from .normalization import derive_all_observations
+    from .registry import parse_deflator_series, parse_project_records
+
     records = _parse_file(_required(projects, "projects"), parse_project_records, newline="")
     series = _parse_file(_required(deflators, "deflators"), parse_deflator_series, newline="")
     return records, derive_all_observations(records, series, era_cutoff)
 
 
 def _load_benchmark(path: str | None):
+    from .registry import parse_benchmark_constants
+
     if path is None:
         return None
     return _parse_file(path, parse_benchmark_constants)
 
 
 def _class_for(observations, stage: str, metric: str, min_outturn: int):
+    from .reference_class import ClassFilter, build_class
+    from .registry import Metric, Stage
+
     target = ClassFilter(
         stage=Stage.from_token(stage), metric=Metric.from_token(metric), min_outturn=min_outturn
     )
@@ -238,6 +212,8 @@ def _class_for(observations, stage: str, metric: str, min_outturn: int):
 def _curve_grid(grid_step: float, degree: int, levels=(), option: str = "") -> tuple[float, ...]:
     """The certainty grid of a smoothed curve, checked to hold enough points
     for a loess fit of ``degree`` and to cover ``levels``."""
+
+    from .reference_class import default_probability_grid
 
     grid = default_probability_grid(grid_step)
     if len(grid) < degree + 2:
@@ -258,13 +234,17 @@ def _emit(out: str, filename: str, text: str) -> None:
     (directory / filename).write_text(text, encoding="utf-8")
 
 
-def _quantile_methods(method: str) -> list[QuantileMethod]:
+def _quantile_methods(method: str):
+    from .reference_class import QuantileMethod
+
     if method == "both":
         return [QuantileMethod.INTERPOLATED, QuantileMethod.INF]
     return [QuantileMethod.from_token(method)]
 
 
-def _single_method(method: str, command: str) -> QuantileMethod:
+def _single_method(method: str, command: str):
+    from .reference_class import QuantileMethod
+
     if method == "both":
         raise click.UsageError(f"{command} needs a single quantile method, not both")
     return QuantileMethod.from_token(method)
@@ -276,6 +256,8 @@ def _single_method(method: str, command: str) -> QuantileMethod:
 @_METRIC_OPTION
 def cmd_overruns(stage: str, metric: str, projects, deflators, era_cutoff, out, **_unused) -> None:
     """Normalized overrun observations for one stage and metric."""
+
+    from .registry import Metric, Stage
 
     target_stage = Stage.from_token(stage)
     target_metric = Metric.from_token(metric)
@@ -305,6 +287,9 @@ def cmd_overruns(stage: str, metric: str, projects, deflators, era_cutoff, out, 
 def cmd_uplift(stage: str, metric: str, p_levels, smooth: bool, projects, deflators, era_cutoff,
                min_outturn, method, span, degree, grid_step, out, **_unused) -> None:
     """Required uplifts at chosen certainty levels."""
+
+    from .formatting import certainty_text
+    from .reference_class import isotonic_adjust, smooth_curve, uplift as class_uplift, uplift_curve
 
     levels = p_levels or (0.5, 0.8)
     grid = _curve_grid(grid_step, degree, levels, "--p") if smooth else None
@@ -342,6 +327,9 @@ def cmd_validate(stage: str, metric: str, p_levels, projects, deflators, era_cut
                  method, out, **_unused) -> None:
     """Leave-one-out check: would the uplift have covered each project?"""
 
+    from .formatting import certainty_percent, round_half_away
+    from .validation import leave_one_out, loov_summary, write_loov_csv
+
     levels = p_levels or (0.5, 0.8)
     _, observations = _observations(projects, deflators, era_cutoff)
     reference = _class_for(observations, stage, metric, min_outturn)
@@ -367,6 +355,10 @@ def cmd_validate(stage: str, metric: str, p_levels, projects, deflators, era_cut
 def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, min_outturn, out,
                   **_unused) -> None:
     """Descriptive comparison of every class against benchmark constants."""
+
+    from .benchmarking import benchmark_report, phase_breakdown, write_benchmark_csv, write_benchmark_json
+    from .reference_class import ClassFilter, build_class
+    from .registry import Metric, Stage
 
     records, observations = _observations(projects, deflators, era_cutoff)
 
@@ -420,6 +412,10 @@ def cmd_curve(stage: str, metric: str, projects, deflators, era_cutoff, min_outt
               degree, grid_step, out, **_unused) -> None:
     """Full uplift curve: raw quantiles, smoothed fit, confidence band."""
 
+    from .formatting import certainty_text
+    from .plot import curve_svg
+    from .reference_class import isotonic_adjust, smooth_curve, uplift_curve
+
     grid = _curve_grid(grid_step, degree)
     _, observations = _observations(projects, deflators, era_cutoff)
     reference = _class_for(observations, stage, metric, min_outturn)
@@ -451,6 +447,9 @@ def cmd_tiers(stage: str, metric: str, base: int, scheme, no_isotonic: bool, pro
               era_cutoff, min_outturn, method, span, degree, grid_step, out, **_unused) -> None:
     """Tiered contingency allocation along the smoothed uplift curve."""
 
+    from .contingency import DEFAULT_TIER_SCHEME, allocation_as_dict, tier_allocation
+    from .reference_class import isotonic_adjust, smooth_curve, uplift_curve
+
     if base <= 0:
         raise click.UsageError(f"--base must be positive, got {base}")
     tier_scheme = scheme if scheme is not None else DEFAULT_TIER_SCHEME
@@ -475,6 +474,8 @@ def cmd_tiers(stage: str, metric: str, base: int, scheme, no_isotonic: bool, pro
 @_common_options
 def cmd_check(projects, deflators, benchmark, **_unused) -> None:
     """Registry validation only: report every consistency violation."""
+
+    from .registry import parse_deflator_series, parse_project_records_lenient
 
     records, reports = _parse_file(
         _required(projects, "projects"), parse_project_records_lenient, newline=""

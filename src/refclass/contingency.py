@@ -10,7 +10,7 @@ tranches always reconcile exactly with the total funded amount.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Sequence
 
 from .formatting import round_half_away
@@ -166,16 +166,7 @@ def allocation_as_dict(allocation: TierAllocation) -> dict:
         "total_funded": allocation.total_funded,
         "total_contingency": allocation.total_contingency,
         "note": allocation.note,
-        "tiers": [
-            {
-                "name": t.name,
-                "certainty": t.certainty,
-                "cumulative_uplift": t.cumulative_uplift,
-                "cumulative_contingency": t.cumulative_contingency,
-                "tranche_amount": t.tranche_amount,
-            }
-            for t in allocation.tranches
-        ],
+        "tiers": [asdict(tranche) for tranche in allocation.tranches],
     }
 
 

@@ -22,6 +22,7 @@ from .registry import (
     Metric,
     ProjectRecord,
     Stage,
+    construction_period,
     has_cost_data,
     has_schedule_data,
 )
@@ -167,32 +168,16 @@ def schedule_overrun(reference: date, planned_completion: date, actual_completio
     return (actual_days - planned_days) / planned_days
 
 
-def construction_duration_years(record: ProjectRecord) -> int | None:
-    """Actual construction duration to the nearest whole year, clamped to the
-    1-10 range the profiles cover.
+def _yearly_spending(record: ProjectRecord) -> dict[int, float]:
+    """Nominal spending per year: the recorded disbursements, else the
+    outturn spread over the construction period (which ``has_cost_data``
+    has checked exists)."""
 
-    Falls back to the Category A upgrade date when no construction start is
-    recorded. None when the duration cannot be established.
-    """
-
-    start = record.construction_start or record.stages[Stage.A].upgrade_date
-    if start is None or record.actual_completion is None:
-        return None
-    days = (record.actual_completion - start).days
-    if days <= 0:
-        return None
-    return min(10, max(1, round(days / 365.25)))
-
-
-def _yearly_spending(record: ProjectRecord) -> dict[int, float] | None:
     if record.disbursements is not None:
         return {year: float(amount) for year, amount in record.disbursements.items()}
-    duration = construction_duration_years(record)
-    if duration is None:
-        return None
-    start = record.construction_start or record.stages[Stage.A].upgrade_date
+    first_year, duration = construction_period(record)
     profile = renormalize_profile(disbursement_profile(duration))
-    return spread_outturn(float(record.outturn_nominal), start.year, profile)
+    return spread_outturn(float(record.outturn_nominal), first_year, profile)
 
 
 def derive_observations(
@@ -210,24 +195,25 @@ def derive_observations(
     pre_era = date_c is not None and date_c < era_cutoff
 
     observations: list[OverrunObservation] = []
+    yearly = None  # the same for every stage, so spread at most once
     for stage in Stage:
         est = record.stages[stage]
         if has_cost_data(record, stage):
-            yearly = _yearly_spending(record)
-            if yearly is not None:
-                outturn_constant = to_constant_prices(yearly, deflators, est.price_level_year)
-                value = cost_overrun(outturn_constant, float(est.base))
-                observations.append(
-                    OverrunObservation(
-                        project_id=record.id,
-                        stage=stage,
-                        metric=Metric.COST,
-                        value=value,
-                        reference_date=est.upgrade_date,
-                        pre_era=pre_era,
-                        outturn_nominal=record.outturn_nominal,
-                    )
+            if yearly is None:
+                yearly = _yearly_spending(record)
+            outturn_constant = to_constant_prices(yearly, deflators, est.price_level_year)
+            value = cost_overrun(outturn_constant, float(est.base))
+            observations.append(
+                OverrunObservation(
+                    project_id=record.id,
+                    stage=stage,
+                    metric=Metric.COST,
+                    value=value,
+                    reference_date=est.upgrade_date,
+                    pre_era=pre_era,
+                    outturn_nominal=record.outturn_nominal,
                 )
+            )
         if has_schedule_data(record, stage):
             value = schedule_overrun(est.upgrade_date, est.planned_completion, record.actual_completion)
             observations.append(

@@ -85,17 +85,7 @@ class StageEstimate:
 
     @property
     def is_blank(self) -> bool:
-        return all(
-            v is None
-            for v in (
-                self.upgrade_date,
-                self.base,
-                self.contingency,
-                self.approved,
-                self.planned_completion,
-                self.price_level_year,
-            )
-        )
+        return all(getattr(self, f.name) is None for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -115,9 +105,6 @@ class ProjectRecord:
         for stage in Stage:
             stages.setdefault(stage, StageEstimate())
         object.__setattr__(self, "stages", stages)
-
-    def stage(self, stage: Stage) -> StageEstimate:
-        return self.stages[stage]
 
 
 @dataclass(frozen=True)
@@ -172,10 +159,6 @@ class DeflatorSeries:
             values=tuple(value / base_value for _, value in items),
         )
 
-    @property
-    def years(self) -> range:
-        return range(self.start_year, self.start_year + len(self.values))
-
     def covers(self, year: int) -> bool:
         return self.start_year <= year < self.start_year + len(self.values)
 
@@ -186,9 +169,6 @@ class DeflatorSeries:
                 f"year {year} outside deflator coverage {self.start_year}-{last}"
             )
         return self.values[year - self.start_year]
-
-    def as_dict(self) -> dict[int, float]:
-        return {year: self.values[year - self.start_year] for year in self.years}
 
 
 @dataclass(frozen=True)
@@ -557,8 +537,9 @@ def parse_deflator_series(
 
 
 # Field annotations are strings under ``from __future__ import annotations``;
-# this maps each numeric one onto the function that coerces a JSON value.
-_NUMBER_TYPES = {"int": int, "float": float}
+# this maps each numeric one onto the JSON kinds it accepts and their name.
+# A bool is an int to Python, but never a number in the file.
+_JSON_KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
 
 
 def parse_benchmark_constants(source: str | IO[str]) -> dict[str, BenchmarkConstants]:
@@ -571,7 +552,7 @@ def parse_benchmark_constants(source: str | IO[str]) -> dict[str, BenchmarkConst
         raise DataFormatError(f"benchmark file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise DataFormatError("benchmark file must hold an object keyed by label")
-    numeric = [f for f in fields(BenchmarkConstants) if f.type in _NUMBER_TYPES]
+    numeric = [f for f in fields(BenchmarkConstants) if f.type in _JSON_KINDS]
     result: dict[str, BenchmarkConstants] = {}
     for label, body in payload.items():
         if not isinstance(body, dict):
@@ -579,16 +560,43 @@ def parse_benchmark_constants(source: str | IO[str]) -> dict[str, BenchmarkConst
         missing = [f.name for f in numeric if f.name not in body]
         if missing:
             raise DataFormatError(f"benchmark {label!r}: missing fields {', '.join(missing)}")
-        try:
-            values = {f.name: _NUMBER_TYPES[f.type](body[f.name]) for f in numeric}
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataFormatError(f"benchmark {label!r}: {exc}") from None
+        values = {}
+        for f in numeric:
+            value = body[f.name]
+            kinds, kind_name = _JSON_KINDS[f.type]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise DataFormatError(
+                    f"benchmark {label!r}: {f.name} must be {kind_name}, got {json.dumps(value)}"
+                )
+            try:
+                values[f.name] = float(value) if f.type == "float" else value
+            except OverflowError as exc:
+                raise DataFormatError(f"benchmark {label!r}: {f.name}: {exc}") from None
         try:
             result[label] = BenchmarkConstants(label=label, **values)
         except ValueError as exc:
             # The constants' own checks already name the label.
             raise DataFormatError(str(exc)) from None
     return result
+
+
+def construction_period(record: ProjectRecord) -> tuple[int, int] | None:
+    """The first construction year and the construction duration to the
+    nearest whole year, clamped to the 1-10 range the disbursement profiles
+    cover: the years a record's outturn is spread over when it has no
+    recorded disbursements.
+
+    Falls back to the Category A upgrade date when no construction start is
+    recorded. None when no positive duration can be established.
+    """
+
+    start = record.construction_start or record.stages[Stage.A].upgrade_date
+    if start is None or record.actual_completion is None:
+        return None
+    days = (record.actual_completion - start).days
+    if days <= 0:
+        return None
+    return start.year, min(10, max(1, round(days / 365.25)))
 
 
 def has_cost_data(record: ProjectRecord, stage: Stage) -> bool:
@@ -605,9 +613,8 @@ def has_cost_data(record: ProjectRecord, stage: Stage) -> bool:
     if record.disbursements is not None:
         return True
     # Without actual disbursements the outturn is spread over construction
-    # years, which needs a start date and the completion date.
-    start = record.construction_start or record.stages[Stage.A].upgrade_date
-    return start is not None and record.actual_completion is not None
+    # years, which needs a construction period of positive length.
+    return construction_period(record) is not None
 
 
 def has_schedule_data(record: ProjectRecord, stage: Stage) -> bool:

@@ -6,8 +6,12 @@ compared with the uplift it would have been given. An overrun is counted as
 prevented when the actual outcome does not exceed the uplift (the boundary
 case counts as covered: funding exactly met the outcome).
 
-Across many classes the hit rate at certainty p should approach p; that is
-the calibration property this module exists to check.
+With distinct values the hit count follows from n and p, not the data.
+Under INF it is the smallest k with k / (n - 1) >= p. Under INTERPOLATED,
+with h = (n - 2) p + 1, it is floor(h) or floor(h) + 1: only the project
+ranked floor(h) + 1 (counting from 1) can go either way. So a hit rate
+near p shows the quantile convention at work, not that the class is
+calibrated.
 """
 
 from __future__ import annotations

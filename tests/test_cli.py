@@ -5,6 +5,7 @@ import subprocess
 import sys
 from datetime import date
 from hashlib import sha256
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -399,44 +400,62 @@ def test_empty_class_error_is_one_stderr_line(table2_paths, tmp_path):
     assert done.stderr.startswith("error:")
 
 
-# Run in a fresh interpreter: pytest's own process has numpy loaded already.
-_IMPORT_BOUNDARY_PROBE = """
-import sys
+# Run each command in its own fresh interpreter (pytest's own process has
+# every module loaded) and report which modules it loaded.
+_LOADED_MODULES_PROBE = """
+import json, sys
 from refclass.cli import main
 
-data, out = sys.argv[1], sys.argv[2]
-files = ["--projects", data + "/projects.csv", "--deflators", data + "/deflators.csv",
-         "--out", out]
-class_args = ["--stage", "C", "--metric", "cost"]
-for argv in (["check"], ["overruns", *class_args], ["validate", *class_args],
-             ["benchmark", "--benchmark", data + "/benchmark.json"]):
-    assert main([*argv, *files]) == 0, argv
-    assert "numpy" not in sys.modules, argv
-assert main(["curve", *class_args, *files]) == 0
-assert "numpy" in sys.modules
+assert main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("refclass.") or m == "numpy")))
 """
 
+_OPTIONAL_MODULES = {"refclass.benchmarking", "refclass.contingency", "refclass.validation",
+                     "refclass.plot", "refclass.smoothing", "numpy"}
 
-def test_only_loess_commands_import_numpy(tmp_path):
+
+_CLASS = ["--stage", "C", "--metric", "cost"]
+# Per command: its arguments, and which of the optional modules it loads.
+_COMMAND_MODULES = {
+    "check": (["check"], set()),
+    "overruns": (["overruns", *_CLASS], set()),
+    "uplift": (["uplift", *_CLASS], set()),
+    "uplift-smooth": (["uplift", *_CLASS, "--smooth"], {"refclass.smoothing", "numpy"}),
+    "validate": (["validate", *_CLASS], {"refclass.validation"}),
+    "benchmark": (["benchmark"], {"refclass.benchmarking"}),
+    "curve": (["curve", *_CLASS], {"refclass.plot", "refclass.smoothing", "numpy"}),
+    "tiers": (["tiers", *_CLASS, "--base", "100000"], {"refclass.contingency", "refclass.smoothing", "numpy"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
+    argv, loaded = _COMMAND_MODULES[command]
+    files = ["--projects", "data/projects.csv", "--deflators", "data/deflators.csv",
+             "--benchmark", "data/benchmark.json", "--out", str(tmp_path / "out")]
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_BOUNDARY_PROBE, str(SHIPPED_DATA), str(tmp_path / "out")],
+        [sys.executable, "-c", _LOADED_MODULES_PROBE, *argv, *files],
         capture_output=True,
         text=True,
         cwd=SHIPPED_DATA.parent,
         env={"PATH": os.environ.get("PATH", os.defpath), "PYTHONPATH": "src", "LC_ALL": "C.UTF-8"},
     )
     assert done.returncode == 0, done.stderr
+    assert set(json.loads(done.stdout.splitlines()[-1])) & _OPTIONAL_MODULES == loaded
 
 
-def test_lazy_exports_resolve_to_smoothing():
-    from refclass import smoothing
-
-    assert refclass.loess_smooth is smoothing.loess_smooth
-    assert refclass.pool_adjacent_violators is smoothing.pool_adjacent_violators
+def test_lazy_exports_resolve_to_their_modules():
+    for name in refclass.__all__:
+        module = import_module("refclass." + refclass._EXPORTS[name])
+        value = getattr(refclass, name)
+        assert value is getattr(module, name), name
+        if callable(value):
+            assert value.__module__ == module.__name__, name  # the defining module
+    assert refclass.__all__ == sorted(refclass.__all__)
+    assert {*refclass.__all__, "__version__"} <= set(dir(refclass))
     namespace: dict = {}
     exec("from refclass import *", namespace)
-    assert namespace["loess_smooth"] is smoothing.loess_smooth
-    assert namespace["pool_adjacent_violators"] is smoothing.pool_adjacent_violators
+    assert all(namespace[name] is getattr(refclass, name) for name in refclass.__all__)
     with pytest.raises(AttributeError):
         refclass.no_such_name
 
@@ -498,11 +517,15 @@ def test_data_errors_exit_2(table2_paths, tmp_path, capsys):
             assert code == 2, (command, year)
             assert err == f"error: deflator index for {year} must be a positive finite number, got inf\n"
 
-    # Non-finite or overflowing benchmark constants, and a range error that
-    # names its label once.
+    # Non-finite benchmark constants, values of the wrong JSON kind, and a
+    # range error that names its label once.
     good = json.loads(corpus.BENCHMARK_JSON)["international-roads"]
     for name, value, message in [
-        ("n_projects", float("inf"), "cannot convert float infinity to integer"),
+        ("n_projects", float("inf"), "n_projects must be an integer, got Infinity"),
+        ("n_projects", 863.7, "n_projects must be an integer, got 863.7"),
+        ("n_projects", True, "n_projects must be an integer, got true"),
+        ("cost_overrun_frequency", False, "cost_overrun_frequency must be a number, got false"),
+        ("mean_cost_overrun", "0.2", 'mean_cost_overrun must be a number, got "0.2"'),
         ("mean_cost_overrun", float("nan"), "mean_cost_overrun must be finite, got nan"),
         ("mean_schedule_overrun", float("inf"), "mean_schedule_overrun must be finite, got inf"),
         ("cost_overrun_sd", float("nan"), "cost_overrun_sd must be a non-negative finite number, got nan"),
@@ -510,7 +533,7 @@ def test_data_errors_exit_2(table2_paths, tmp_path, capsys):
         ("mean_duration_years", float("inf"), "mean_duration_years must be a positive finite number, got inf"),
         ("cost_overrun_frequency", 2.0, "cost_overrun_frequency must lie in [0, 1], got 2.0"),
     ]:
-        bad = tmp_path / f"benchmark_{name}.json"
+        bad = tmp_path / f"benchmark_{name}_{value}.json"
         bad.write_text(json.dumps({"international-roads": {**good, name: value}}))
         for command in ("benchmark", "check"):
             code, _, err = run(

@@ -3,12 +3,13 @@ import math
 from datetime import date
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from refclass.errors import DeflatorCoverageError
 from refclass.normalization import (
     DISBURSEMENT_PROFILE_PERCENTS,
     cost_overrun,
+    derive_all_observations,
     derive_observations,
     disbursement_profile,
     renormalize_profile,
@@ -22,7 +23,10 @@ from refclass.registry import (
     ProjectRecord,
     Stage,
     StageEstimate,
+    construction_period,
+    has_cost_data,
     parse_deflator_series,
+    stage_availability,
 )
 
 # The published yearly spending shares, as integer percentages. Rows for
@@ -300,3 +304,65 @@ def test_derive_skips_stages_without_data():
         disbursements=None,
     )
     assert derive_observations(record, flat_series()) == []
+
+
+def test_zero_length_construction_has_no_cost_data():
+    # No disbursements, and construction ends the day it starts: there is no
+    # period to spread the outturn over, so no stage counts as having cost data.
+    record = ProjectRecord(
+        id="n5",
+        stages={
+            Stage.C: StageEstimate(
+                upgrade_date=date(2000, 1, 1), base=100, contingency=0, approved=100, price_level_year=2000
+            )
+        },
+        construction_start=date(2001, 6, 1),
+        actual_completion=date(2001, 6, 1),
+        outturn_nominal=120,
+        disbursements=None,
+    )
+    assert construction_period(record) is None
+    assert not has_cost_data(record, Stage.C)
+    assert stage_availability([record])[(Stage.C, Metric.COST)] == 0
+    assert [o for o in derive_observations(record, flat_series()) if o.metric is Metric.COST] == []
+
+
+# Dates drawn from a few fixed days as well, so that equal start and
+# completion dates turn up.
+_days = st.sampled_from([date(1996, 1, 1), date(1998, 7, 1), date(2000, 1, 1), date(2003, 6, 30)]) | st.dates(
+    date(1995, 1, 1), date(2004, 12, 31)
+)
+_amounts = st.none() | st.integers(min_value=-5, max_value=10**6)
+_price_years = st.integers(min_value=1995, max_value=2005)
+_registry_records = st.builds(
+    ProjectRecord,
+    id=st.just("r"),
+    stages=st.fixed_dictionaries(
+        {
+            stage: st.builds(
+                StageEstimate,
+                upgrade_date=st.none() | _days,
+                base=_amounts,
+                planned_completion=st.none() | _days,
+                price_level_year=st.none() | _price_years,
+            )
+            for stage in Stage
+        }
+    ),
+    construction_start=st.none() | _days,
+    actual_completion=st.none() | _days,
+    outturn_nominal=_amounts,
+    disbursements=st.none() | st.dictionaries(_price_years, st.integers(min_value=1, max_value=10**6), min_size=1),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_registry_records, max_size=6))
+def test_stage_availability_counts_what_derive_emits(records):
+    # The series covers every year a record can spend in: 2004 plus the
+    # ten years of the longest disbursement profile.
+    observations = derive_all_observations(records, flat_series(1990, 2015))
+    emitted = {key: 0 for key in stage_availability([])}
+    for o in observations:
+        emitted[(o.stage, o.metric)] += 1
+    assert stage_availability(records) == emitted

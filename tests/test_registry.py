@@ -1,4 +1,5 @@
 import io
+import json
 import string
 from datetime import date
 
@@ -233,3 +234,11 @@ def test_benchmark_constants_parse_matches_builtin():
 def test_benchmark_constants_missing_field():
     with pytest.raises(DataFormatError, match="mean_duration_years"):
         parse_benchmark_constants('{"x": {"n_projects": 3}}')
+
+
+def test_benchmark_float_fields_take_json_integers_as_floats():
+    payload = json.loads(corpus.BENCHMARK_JSON)
+    payload["international-roads"]["mean_duration_years"] = 5
+    parsed = parse_benchmark_constants(json.dumps(payload))["international-roads"]
+    assert parsed.mean_duration_years == 5.0
+    assert type(parsed.mean_duration_years) is float

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -141,3 +142,22 @@ def test_leave_one_out_matches_resorting_oracle(values, levels, method):
     assert leave_one_out(reference, levels, method) == oracles.leave_one_out(
         reference, levels, method
     )
+
+
+@settings(deadline=None)
+@given(
+    values=st.lists(st.floats(min_value=-0.9, max_value=3.0), min_size=2, max_size=60, unique=True),
+    p=st.integers(1, 100).map(lambda k: k / 100) | st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+def test_distinct_values_fix_the_hit_count(values, p):
+    n = len(values)
+    reference = ReferenceClass.from_values(values)
+
+    # The comparison empirical_quantile makes, so float noise in (n - 1) p
+    # cannot move the answer.
+    inf_hits = loov_summary(leave_one_out(reference, (p,), QuantileMethod.INF), p).hits
+    assert inf_hits == next(k for k in range(1, n) if k / (n - 1) >= p)
+
+    h = (n - 2) * p + 1
+    interp_rows = leave_one_out(reference, (p,), QuantileMethod.INTERPOLATED)
+    assert loov_summary(interp_rows, p).hits in (math.floor(h), math.floor(h) + 1)
