@@ -30,14 +30,15 @@ _EXPORTS = {
         "debias_estimate portfolio_pool tier_allocation write_allocation_json",
         "errors": "DataFormatError DeflatorCoverageError EmptyClassError InsufficientDataError "
         "NonMonotoneCurveError RecordConsistencyError RefclassError",
-        "normalization": "DEFAULT_ERA_CUTOFF OverrunObservation cost_overrun derive_all_observations "
+        "normalization": "OverrunObservation cost_overrun derive_all_observations "
         "derive_observations disbursement_profile schedule_overrun spread_outturn to_constant_prices",
-        "reference_class": "DEFAULT_MIN_OUTTURN ClassFilter QuantileMethod ReferenceClass TrendShift "
+        "reference_class": "ClassFilter QuantileMethod ReferenceClass TrendShift "
         "UpliftCurve build_class default_probability_grid empirical_quantile isotonic_adjust "
         "required_certainty smooth_curve trend_by_date uplift uplift_curve",
-        "registry": "BenchmarkConstants DeflatorSeries INTERNATIONAL_ROADS Metric ProjectRecord Stage "
-        "StageEstimate Violation parse_benchmark_constants parse_deflator_series parse_project_records "
-        "parse_project_records_lenient stage_availability validate_record write_project_records",
+        "registry": "DEFAULT_ERA_CUTOFF DEFAULT_MIN_OUTTURN BenchmarkConstants DeflatorSeries "
+        "INTERNATIONAL_ROADS Metric ProjectRecord Stage StageEstimate Violation parse_benchmark_constants "
+        "parse_deflator_series parse_project_records parse_project_records_lenient stage_availability "
+        "validate_record write_project_records",
         "smoothing": "loess_smooth pool_adjacent_violators",
         "stats": "DescriptiveStats TestResult descriptive_stats mann_whitney_u proportion_test",
         "validation": "LoovRow LoovSummary leave_one_out loov_summary write_loov_csv",

@@ -23,8 +23,7 @@ import click
 # Only what the option definitions need is imported here. Each command
 # imports the modules it runs, so no command loads another command's modules.
 from .errors import DataFormatError, EmptyClassError, NonMonotoneCurveError, RefclassError
-from .normalization import DEFAULT_ERA_CUTOFF
-from .reference_class import DEFAULT_MIN_OUTTURN
+from .registry import DEFAULT_ERA_CUTOFF, DEFAULT_MIN_OUTTURN
 
 
 class _IsoDate(click.ParamType):

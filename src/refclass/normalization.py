@@ -18,6 +18,7 @@ from datetime import date
 from typing import Mapping, Sequence
 
 from .registry import (
+    DEFAULT_ERA_CUTOFF,
     DeflatorSeries,
     Metric,
     ProjectRecord,
@@ -26,10 +27,6 @@ from .registry import (
     has_cost_data,
     has_schedule_data,
 )
-
-#: Estimates approved on or after this date follow the tightened procedure;
-#: earlier projects are excluded from reference classes by default.
-DEFAULT_ERA_CUTOFF = date(1993, 7, 1)
 
 # Standard disbursement profiles, percent of outturn per project year,
 # keyed by construction duration. Stored verbatim as published: the 4-, 6-

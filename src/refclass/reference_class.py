@@ -23,18 +23,14 @@ from datetime import date
 from typing import Iterable, Sequence
 
 from .errors import EmptyClassError, InsufficientDataError, NonMonotoneCurveError
-from .normalization import DEFAULT_ERA_CUTOFF, OverrunObservation
-from .registry import Metric, Stage
+from .normalization import OverrunObservation
+from .registry import DEFAULT_ERA_CUTOFF, DEFAULT_MIN_OUTTURN, Metric, Stage
 from .stats import TestResult, mann_whitney_u
 
 # The loess fit and the isotonic repair import .smoothing, and numpy with
 # it, where they run, so a command that never smooths starts without numpy.
 
 logger = logging.getLogger(__name__)
-
-#: Default outturn threshold for class membership: HKD 100 million, in
-#: integer HKD thousands.
-DEFAULT_MIN_OUTTURN = 100_000
 
 _GRID_EPS = 1e-9
 

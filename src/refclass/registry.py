@@ -29,6 +29,17 @@ from .errors import DataFormatError, DeflatorCoverageError, RecordConsistencyErr
 # contingency, disbursement sum vs outturn).
 CONSISTENCY_TOLERANCE = 0.005
 
+# The option defaults live here, in the module every command loads, and are
+# re-exported by the modules that apply them.
+
+#: Estimates approved on or after this date follow the tightened procedure;
+#: earlier projects are excluded from reference classes by default.
+DEFAULT_ERA_CUTOFF = date(1993, 7, 1)
+
+#: Default outturn threshold for class membership: HKD 100 million, in
+#: integer HKD thousands.
+DEFAULT_MIN_OUTTURN = 100_000
+
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9_.-]+$")
 _INT_PATTERN = re.compile(r"^[+-]?[0-9]+$")
 _YEAR_PATTERN = re.compile(r"^[0-9]{4}$")

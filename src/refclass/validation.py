@@ -17,6 +17,7 @@ calibrated.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -63,6 +64,21 @@ class _WithoutPosition(Sequence[float]):
         return self._ordered[k if k < self._gap else k + 1]
 
 
+class _ReadPositions(Sequence[float]):
+    """A sample of ``n`` zeros that records which positions are read."""
+
+    def __init__(self, n: int) -> None:
+        self._n = n
+        self.read: set[int] = set()
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, k: int) -> float:
+        self.read.add(k % self._n)
+        return 0.0
+
+
 def leave_one_out(
     reference: ReferenceClass,
     p_levels: Sequence[float] = DEFAULT_P_LEVELS,
@@ -87,10 +103,24 @@ def leave_one_out(
     for position, i in enumerate(order):
         rank[i] = position
 
+    # empirical_quantile reads the rest at positions fixed by its length and
+    # p alone, at most two adjacent ones. Leaving out sorted position g
+    # shifts exactly the read positions >= g, so each level has at most
+    # three answers: one per number of read positions shifted.
+    answers = {}
+    for p in levels:
+        probe = _ReadPositions(reference.n - 1)
+        empirical_quantile(probe, p, method)
+        read = sorted(probe.read)
+        # Gap read[j] shifts read[j:]; a gap past the last read shifts none.
+        answers[p] = read, [
+            empirical_quantile(_WithoutPosition(ordered, gap), p, method)
+            for gap in read + [read[-1] + 1]
+        ]
+
     rows: list[LoovRow] = []
     for i, held_out in enumerate(reference.entries):
-        rest = _WithoutPosition(ordered, rank[i])
-        uplifts = {p: empirical_quantile(rest, p, method) for p in levels}
+        uplifts = {p: uplift[bisect_left(read, rank[i])] for p, (read, uplift) in answers.items()}
         prevented = {p: held_out.value <= uplifts[p] for p in levels}
         rows.append(
             LoovRow(

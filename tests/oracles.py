@@ -4,9 +4,10 @@ Each function is the straightforward version the package used before its
 fast path: leave-one-out re-sorts the other n - 1 values per held-out
 project, loess argsorts every distance row and takes a pseudo-inverse per
 point while filling a dense n x n hat matrix (and its power-sum form solves
-every point, tied x included, with fresh work arrays per block), and
-Fisher's test builds a Fraction per table. They are quadratic or worse, so tests call them on
-small inputs only.
+every point, tied x included, on one thread with fresh work arrays per
+block, sums every power of every term, and fills each block's window
+indices row by row), and Fisher's test builds a Fraction per table. They
+are quadratic or worse, so tests call them on small inputs only.
 """
 
 from __future__ import annotations
@@ -83,6 +84,18 @@ def loess_windows(x: Sequence[float], window_size: int) -> list[frozenset[int]]:
     ]
 
 
+def window_index(bounds: np.ndarray, size: int) -> np.ndarray:
+    """The window indices, one row per column of ``bounds`` (first, count,
+    second), written row by row: [first, first + count) then the rest from
+    second."""
+
+    first, count, second = bounds
+    index = np.add((second - count)[:, None], np.arange(size))
+    for b in np.flatnonzero(count):
+        index[b, : count[b]] = np.arange(first[b], first[b] + count[b])
+    return index
+
+
 def loess_smooth(
     points: Sequence[tuple[float, float]],
     span: float = 0.75,
@@ -153,7 +166,7 @@ def loess_smooth_per_point(
     block = max(1, smoothing._BLOCK_ENTRIES // size)
     for start in range(0, n, block):
         rows = np.arange(start, min(n, start + block))
-        index = smoothing._window_index(bounds[:, rows], size)
+        index = window_index(bounds[:, rows], size)
         t = (x[index] - x[rows, None]) / np.where(reach[rows] > 0.0, reach[rows], 1.0)[:, None]
         weights = 1.0 - np.abs(t * t * t)
         weights *= weights * weights

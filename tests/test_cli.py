@@ -407,24 +407,29 @@ import json, sys
 from refclass.cli import main
 
 assert main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("refclass.") or m == "numpy")))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(("refclass.", "numpy", "concurrent.")))))
 """
 
-_OPTIONAL_MODULES = {"refclass.benchmarking", "refclass.contingency", "refclass.validation",
-                     "refclass.plot", "refclass.smoothing", "numpy"}
+# check runs only the registry parser. No command's fit has more than 128
+# points, so none splits a fit across threads (concurrent.futures).
+_OPTIONAL_MODULES = {"refclass.normalization", "refclass.reference_class", "refclass.stats",
+                     "refclass.benchmarking", "refclass.contingency", "refclass.validation",
+                     "refclass.plot", "refclass.smoothing", "numpy", "concurrent.futures"}
 
 
 _CLASS = ["--stage", "C", "--metric", "cost"]
+_RUNS_CLASSES = {"refclass.normalization", "refclass.reference_class", "refclass.stats"}
+_SMOOTHS = {"refclass.smoothing", "numpy"}
 # Per command: its arguments, and which of the optional modules it loads.
 _COMMAND_MODULES = {
     "check": (["check"], set()),
-    "overruns": (["overruns", *_CLASS], set()),
-    "uplift": (["uplift", *_CLASS], set()),
-    "uplift-smooth": (["uplift", *_CLASS, "--smooth"], {"refclass.smoothing", "numpy"}),
-    "validate": (["validate", *_CLASS], {"refclass.validation"}),
-    "benchmark": (["benchmark"], {"refclass.benchmarking"}),
-    "curve": (["curve", *_CLASS], {"refclass.plot", "refclass.smoothing", "numpy"}),
-    "tiers": (["tiers", *_CLASS, "--base", "100000"], {"refclass.contingency", "refclass.smoothing", "numpy"}),
+    "overruns": (["overruns", *_CLASS], {"refclass.normalization"}),
+    "uplift": (["uplift", *_CLASS], _RUNS_CLASSES),
+    "uplift-smooth": (["uplift", *_CLASS, "--smooth"], _RUNS_CLASSES | _SMOOTHS),
+    "validate": (["validate", *_CLASS], _RUNS_CLASSES | {"refclass.validation"}),
+    "benchmark": (["benchmark"], _RUNS_CLASSES | {"refclass.benchmarking"}),
+    "curve": (["curve", *_CLASS], _RUNS_CLASSES | _SMOOTHS | {"refclass.plot"}),
+    "tiers": (["tiers", *_CLASS, "--base", "100000"], _RUNS_CLASSES | _SMOOTHS | {"refclass.contingency"}),
 }
 
 

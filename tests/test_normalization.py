@@ -3,7 +3,7 @@ import math
 from datetime import date
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from refclass.errors import DeflatorCoverageError
 from refclass.normalization import (
@@ -356,7 +356,6 @@ _registry_records = st.builds(
 )
 
 
-@settings(deadline=None)
 @given(st.lists(_registry_records, max_size=6))
 def test_stage_availability_counts_what_derive_emits(records):
     # The series covers every year a record can spend in: 2004 plus the

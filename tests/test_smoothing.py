@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 from refclass import smoothing
@@ -93,14 +93,15 @@ spans = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 degrees = st.sampled_from([1, 2])
 
 
-@settings(deadline=None)
 @given(points=tied_points, span=spans, degree=degrees)
 def test_loess_windows_match_stable_argsort(points, span, degree):
     x = sorted(px for px, _ in points)
     size = min(len(x), max(math.ceil(span * len(x)), degree + 2))
     expected = oracles.loess_windows(x, size)
     bounds, _ = smoothing._windows(x, range(len(x)), size)
-    windows = [frozenset(row.tolist()) for row in smoothing._window_index(bounds, size)]
+    index = smoothing._window_index(bounds, size)
+    assert np.array_equal(index, oracles.window_index(bounds, size))
+    windows = [frozenset(row.tolist()) for row in index]
     assert windows == expected
     # Scanning only the first point of each run of equal x finds the same windows.
     heads = [i for i in range(len(x)) if i == 0 or x[i] != x[i - 1]]
@@ -109,7 +110,6 @@ def test_loess_windows_match_stable_argsort(points, span, degree):
     assert windows == [expected[i] for i in heads]
 
 
-@settings(deadline=None)
 @given(points=tied_points, span=spans, degree=degrees)
 def test_loess_power_sums_match_dense_hat_oracle(points, span, degree):
     expected = oracles.loess_smooth(points, span=span, degree=degree)
@@ -120,7 +120,6 @@ def test_loess_power_sums_match_dense_hat_oracle(points, span, degree):
         assert row == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
-@settings(deadline=None)
 @given(points=tied_points, span=spans, degree=degrees)
 def test_loess_direct_path_is_bit_identical_to_dense_hat_oracle(points, span, degree):
     assert loess_smooth(points, span=span, degree=degree) == oracles.loess_smooth(
@@ -128,7 +127,6 @@ def test_loess_direct_path_is_bit_identical_to_dense_hat_oracle(points, span, de
     )
 
 
-@settings(deadline=None)
 @given(points=tied_points, span=spans, degree=degrees)
 def test_loess_one_fit_per_distinct_x_is_bit_identical_to_per_point_fits(points, span, degree):
     with mock.patch.object(smoothing, "_DIRECT_MAX_POINTS", 0):
@@ -155,7 +153,6 @@ _LONG_TIE_BLOCK = [(1990.0, float(i % 7)) for i in range(150)] + [
 _ALL_DISTINCT = [(1990.0 + i / 365.0, math.sin(i)) for i in range(200)]
 
 
-@settings(deadline=None)
 @given(points=dated_points, span=spans, degree=degrees)
 @example(points=_LONG_TIE_BLOCK, span=0.05, degree=2)
 @example(points=_LONG_TIE_BLOCK, span=0.3, degree=1)
@@ -164,6 +161,48 @@ def test_loess_large_dated_classes_are_bit_identical_to_per_point_fits(points, s
     assert loess_smooth(points, span=span, degree=degree) == oracles.loess_smooth_per_point(
         points, span=span, degree=degree
     )
+
+
+# Dates spread over up to 60 days, so most fits have enough distinct x to
+# give every worker at least two one-row blocks.
+spread_points = st.integers(10, 60).flatmap(
+    lambda days: st.lists(
+        st.tuples(
+            st.integers(0, days).map(lambda day: 1990.0 + day / 365.0),
+            st.floats(min_value=-1.0, max_value=3.0),
+        ),
+        min_size=4,
+        max_size=80,
+    )
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@given(points=spread_points, span=spans, degree=degrees)
+@example(points=_ALL_DISTINCT, span=0.3, degree=2)
+@example(points=_LONG_TIE_BLOCK, span=0.05, degree=2)
+def test_loess_split_across_workers_is_bit_identical_to_per_point_fits(workers, points, span, degree):
+    parts = []
+
+    def power_sums(x, y, rows, *rest):
+        parts.append(len(rows))
+        return unsplit(x, y, rows, *rest)
+
+    unsplit = smoothing._power_sums
+    with mock.patch.multiple(
+        smoothing,
+        _DIRECT_MAX_POINTS=0,
+        _BLOCK_ENTRIES=1,  # one row per block
+        _worker_count=lambda: workers,
+        _power_sums=power_sums,
+    ):
+        result = loess_smooth(points, span=span, degree=degree)
+    assert result == oracles.loess_smooth_per_point(points, span=span, degree=degree)
+    # The distinct x split into one part per worker when each gets at least
+    # two blocks, else into one.
+    distinct = len({x for x, _ in points})
+    assert sum(parts) == distinct
+    assert len(parts) == max(1, min(workers, distinct // 2))
 
 
 def test_loess_rank_deficient_windows_take_pinv_fallback():
