@@ -96,6 +96,9 @@ def _read_config(ctx: click.Context, _param, path: str | None) -> None:
         key = key.strip()
         if key not in _SETTINGS:
             raise click.UsageError(f"config line {line_number}: unknown key {key!r}")
+        if "\0" in value:
+            # No path or number holds one; the OS would refuse it as a path.
+            raise click.UsageError(f"config line {line_number}: {key} holds a NUL character")
         defaults[key] = value.strip()
     ctx.default_map = defaults
 

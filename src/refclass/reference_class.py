@@ -373,7 +373,9 @@ def trend_by_date(
         )
     from .smoothing import loess_smooth
 
-    points = [(_year_fraction(o.reference_date), o.value) for o in dated]
+    # Many observations share a reference date: convert each date once.
+    fractions = {d: _year_fraction(d) for d in {o.reference_date for o in dated}}
+    points = [(fractions[o.reference_date], o.value) for o in dated]
     smoothed = loess_smooth(points, span=span, degree=degree)
     trend = [
         TrendPoint(o.reference_date, fit, lo, hi)

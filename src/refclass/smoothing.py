@@ -14,12 +14,10 @@ M c = e_0 with M_kl = sum w t^(k+l). So the fit, the hat diagonal (c_0) and
 the hat row's sum of squares (c' M2 c, M2_kl = sum w^2 t^(k+l)) all follow
 from weighted power sums: those of w and w^2 up to t^(2 degree), those of
 w y up to t^degree. They are computed for blocks of points at a time in
-work arrays allocated once per fit; no n x n matrix is formed, so memory
-stays linear in n. The blocks are split into contiguous runs, one per core
-the process may run on but never fewer than two blocks each, and each run
-is summed by its own thread (numpy releases the GIL) in its own work
-arrays. Every sum is taken in the same order whatever the block or the
-thread, so the fits do not depend on the number of cores.
+work arrays allocated once per fit, each window read as one strided row of
+the sorted x (and y); no n x n matrix is formed, so memory stays linear in
+n. Every sum is taken in the same order whatever the block, so the fits do
+not depend on the block size.
 
 Points with equal x (reference dates repeat) have the same distances to
 every point, so the same window, local system and fit: the power sums are
@@ -46,7 +44,6 @@ and write each block's weighted mean back over its span.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Sequence
 
@@ -56,13 +53,13 @@ from .errors import InsufficientDataError
 
 _Z_95 = 1.96
 
-#: Entries per (points x window) work array; each thread holds five (640
-#: KiB). Larger blocks take fewer numpy calls per point, so threads contend
-#: less for the GIL. On a 2-core host, the power sums of a class with 1,087
-#: distinct dates took longer on two threads than on one at 2^13 entries
-#: (34-60 ms against 31-45 ms), 33-41 ms on two at 2^14 and 27-36 ms at
-#: 2^15; but 2^15 raised the peak memory of the process by 1.4 MB more.
-_BLOCK_ENTRIES = 1 << 14
+#: Entries per (points x window) work array; a fit holds four (1 MiB) and
+#: one block of gathered window rows at a time. Larger blocks take fewer
+#: numpy calls per point. On a 2-core host, the loess fit of a class with
+#: 1,087 distinct dates took 28-43 ms at 2^13 entries, 23-35 ms at 2^14,
+#: 22-33 ms at 2^15 and 26-30 ms at 2^16 (best of 30 per round); 2^15 was
+#: fastest in five of six rounds.
+_BLOCK_ENTRIES = 1 << 15
 
 #: Local systems with a larger condition number are solved by pseudo-inverse.
 _MAX_CONDITION = 1e8
@@ -144,29 +141,7 @@ def _power_sum_fits(
     singular or ill-conditioned local systems."""
 
     n = len(rows)
-    # sums[m, r, k] = sum over row r's window of m t^k, for m = w, w^2 and
-    # w y; the w y sums are filled (and read) only up to k = degree.
-    sums = np.empty((3, n, 2 * degree + 1))
-    scale = np.where(reach > 0.0, reach, 1.0)
-    block = max(1, _BLOCK_ENTRIES // size)
-    blocks = -(-n // block)
-    workers = min(_worker_count(), blocks // 2)
-    if workers < 2:
-        _power_sums(x, y, rows, bounds, scale, size, degree, block, sums)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # Each worker takes a contiguous run of whole blocks (at least two)
-        # and its own work arrays; numpy releases the GIL in the block loops.
-        cuts = [min(n, block * (blocks * w // workers)) for w in range(workers + 1)]
-
-        def fill(part: slice) -> None:
-            _power_sums(x, y, rows[part], bounds[:, part], scale[part], size, degree, block, sums[:, part])
-
-        with ThreadPoolExecutor(workers) as pool:
-            # Reading every result re-raises any worker's exception here.
-            list(pool.map(fill, [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]))
-
+    sums = _power_sums(x, y, rows, bounds, reach, size, degree)
     pairs = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
     system = sums[0][:, pairs]
     eigenvalues = np.linalg.eigvalsh(system)
@@ -187,31 +162,27 @@ def _power_sums(
     y: np.ndarray,
     rows: np.ndarray,
     bounds: np.ndarray,
-    scale: np.ndarray,
+    reach: np.ndarray,
     size: int,
     degree: int,
-    block: int,
-    sums: np.ndarray,
-) -> None:
-    """Write the weighted power sums of the windows of ``rows`` into
-    ``sums``, ``block`` rows at a time (``scale`` is each window's reach, 1
-    where it is 0). Each row's sums are the same whatever rows share its
-    block."""
+) -> np.ndarray:
+    """The weighted power sums of the windows of ``rows``, taken a block of
+    rows at a time: sums[m, r, k] = sum over row r's window of m t^k, for m
+    = w, w^2 and w y. The w y sums are filled (and read) only up to k =
+    degree. Each row's sums are the same whatever rows share its block."""
 
-    # One set of work arrays for every block: the window index, t, and the
-    # terms w, w^2 and w y, multiplied by t once per power.
-    buffers = (
-        np.empty((block, size), dtype=np.intp),
-        np.empty((block, size)),
-        np.empty((3, block, size)),
-    )
+    sums = np.empty((3, len(rows), 2 * degree + 1))
+    scale = np.where(reach > 0.0, reach, 1.0)
+    block = max(1, _BLOCK_ENTRIES // size)
+    # One set of work arrays for every block: t, and the terms w, w^2 and
+    # w y, multiplied by t once per power.
+    buffers = np.empty((block, size)), np.empty((3, block, size))
+    x_windows, y_windows = (np.lib.stride_tricks.sliding_window_view(v, size) for v in (x, y))
     for start in range(0, len(rows), block):
         stop = min(len(rows), start + block)
-        index, t, terms = (buffer[..., : stop - start, :] for buffer in buffers)
-        _window_index(bounds[:, start:stop], size, out=index)
-        # mode="clip" lets take write straight into out (the indices are valid).
-        np.take(x, index, out=t, mode="clip")
-        t -= x[rows[start:stop], None]
+        t, terms = (buffer[..., : stop - start, :] for buffer in buffers)
+        part = bounds[:, start:stop]
+        np.subtract(_window_rows(x_windows, part), x[rows[start:stop], None], out=t)
         t /= scale[start:stop, None]
         # Tricube weights; |t| <= 1 inside the window, so none is negative.
         weights = terms[0]
@@ -223,23 +194,29 @@ def _power_sums(
         np.multiply(weights, weights, out=terms[1])
         weights *= terms[1]
         np.multiply(weights, weights, out=terms[1])
-        np.take(y, index, out=terms[2], mode="clip")
-        terms[2] *= weights
+        np.multiply(_window_rows(y_windows, part), weights, out=terms[2])
         for k in range(2 * degree + 1):
             # The fits read w y t^k only up to k = degree.
             live = terms[: 3 if k <= degree else 2]
             if k:
                 live *= t
-            np.sum(live, axis=-1, out=sums[: len(live), start:stop, k])
+            np.add.reduce(live, axis=-1, out=sums[: len(live), start:stop, k])
+    return sums
 
 
-def _worker_count() -> int:
-    """The cores this process may run on."""
+def _window_rows(windows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The values of each window of ``bounds`` as one row, read from
+    ``windows``, the sliding windows of the sorted values. A window is the
+    row at second - count; where its two pieces do not meet (ties cut at its
+    edge), its first count entries are rewritten from the row at first,
+    which lies to the left (first <= second - count)."""
 
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    first, count, second = bounds
+    lead = second - count
+    rows = windows[lead]
+    for r in np.flatnonzero(first != lead):
+        rows[r, : count[r]] = windows[first[r], : count[r]]
+    return rows
 
 
 def _windows(
@@ -286,18 +263,6 @@ def _windows(
             edge = bisect_left(x, x[edge - 1])
         bounds.append((edge, min(size - (far - near + 1), near - edge), near))
     return np.array(bounds, dtype=np.intp).T, np.array(reach)
-
-
-def _window_index(bounds: np.ndarray, size: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The window indices, one row per column of ``bounds``, written to
-    ``out`` if given."""
-
-    first, count, second = bounds
-    column = np.arange(size)
-    index = np.add((second - count)[:, None], column, out=out)
-    # The first count entries of a row run from first instead.
-    np.add(first[:, None], column, out=index, where=column < count[:, None])
-    return index
 
 
 def _direct_fit(

@@ -8,8 +8,8 @@ from refclass.normalization import OverrunObservation
 from refclass.registry import Metric, Stage
 from refclass.reference_class import ClassFilter, ReferenceClass, build_class
 
-# No per-example deadline: the oracles are slow by design, and a threaded fit
-# on a busy host can stall one example without anything being wrong.
+# No per-example deadline: the oracles are slow by design, and a busy host
+# can stall one example without anything being wrong.
 settings.register_profile("refclass", deadline=None)
 settings.load_profile("refclass")
 

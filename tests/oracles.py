@@ -4,9 +4,9 @@ Each function is the straightforward version the package used before its
 fast path: leave-one-out re-sorts the other n - 1 values per held-out
 project, loess argsorts every distance row and takes a pseudo-inverse per
 point while filling a dense n x n hat matrix (and its power-sum form solves
-every point, tied x included, on one thread with fresh work arrays per
-block, sums every power of every term, and fills each block's window
-indices row by row), and Fisher's test builds a Fraction per table. They
+every point, tied x included, with fresh work arrays per block, sums
+every power of every term, and gathers each window through indices filled
+row by row), and Fisher's test builds a Fraction per table. They
 are quadratic or worse, so tests call them on small inputs only.
 """
 

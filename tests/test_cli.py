@@ -1,18 +1,25 @@
+import contextlib
+import csv
 import dataclasses
+import io
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from datetime import date
 from hashlib import sha256
 from importlib import import_module
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpus
 import refclass
-from refclass.cli import main
+from refclass.cli import _SETTINGS, main
 from refclass.registry import (
     ProjectRecord,
     Stage,
@@ -410,8 +417,8 @@ assert main(sys.argv[1:]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.startswith(("refclass.", "numpy", "concurrent.")))))
 """
 
-# check runs only the registry parser. No command's fit has more than 128
-# points, so none splits a fit across threads (concurrent.futures).
+# check runs only the registry parser. No command needs a thread pool
+# (concurrent.futures); the probe keeps it as a guard against one.
 _OPTIONAL_MODULES = {"refclass.normalization", "refclass.reference_class", "refclass.stats",
                      "refclass.benchmarking", "refclass.contingency", "refclass.validation",
                      "refclass.plot", "refclass.smoothing", "numpy", "concurrent.futures"}
@@ -731,3 +738,93 @@ def test_shipped_data_outputs_are_byte_stable(command, tmp_path, capsys):
     assert sha256(stdout.encode()).hexdigest() == stdout_digest
     written = sorted(out.iterdir()) if out.exists() else []
     assert {p.name: sha256(p.read_bytes()).hexdigest() for p in written} == file_digests
+
+
+# Values a hand-edited file might hold in place of a good one.
+_HOSTILE_VALUES = [
+    "", " ", "x", "-1", "0", "1.5", "1e309", "-1e309", "nan", "inf", "-inf",
+    "99999999999999999999999", "2000-13-01", "1993-02-30", "0001-01-01", "9999-12-31",
+    "1997:", ":5", "1997:1;1997:2", "1997:-5", "a;b", "é", "\x00", "\ufeff", "0x10",
+    "1_000", "+5", "--help", "=",
+]
+_hostile = st.one_of(st.sampled_from(_HOSTILE_VALUES), st.text(max_size=6))
+# JSON tokens for one benchmark constant.
+_HOSTILE_JSON = ["null", "true", "false", '"0.2"', "-1", "0", "1e999", "-1e999", "NaN",
+                 "Infinity", "1.5", "863.5", "[]", "{}", "1e-400", "99999999999999999999999"]
+# --out takes only names inside the example's own directory, so no run
+# writes anywhere else.
+_HOSTILE_OUT = ["", " ", "projects.csv", "projects.csv/sub", "\x00", "é", "a" * 300]
+
+
+def _shipped_rows(name):
+    with open(SHIPPED_DATA / name, newline="") as handle:
+        return list(csv.reader(handle))
+
+
+def _cells(name, max_size):
+    """Cells of a shipped CSV file (header row included) and their new values."""
+
+    rows = _shipped_rows(name)
+    cell = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(rows[0]) - 1), _hostile)
+    return st.tuples(st.just(name), st.lists(cell, min_size=1, max_size=max_size))
+
+
+_BENCHMARK_FIELDS = sorted(json.loads((SHIPPED_DATA / "benchmark.json").read_text())["international-roads"])
+# One or two cells of the registry, one deflator cell, one benchmark
+# constant, or one config-file setting.
+_corruptions = st.one_of(
+    _cells("projects.csv", 2),
+    _cells("deflators.csv", 1),
+    st.tuples(st.just("benchmark.json"),
+              st.tuples(st.sampled_from(_BENCHMARK_FIELDS), st.sampled_from(_HOSTILE_JSON))),
+    st.tuples(st.just("config"),
+              st.one_of(st.tuples(st.sampled_from(sorted(set(_SETTINGS) - {"out"})), _hostile),
+                        st.tuples(st.just("out"), st.sampled_from(_HOSTILE_OUT)))),
+)
+
+
+def _write_corrupted(directory: Path, target: str, change) -> None:
+    for name in ("projects.csv", "deflators.csv", "benchmark.json"):
+        shutil.copy(SHIPPED_DATA / name, directory / name)
+    config = {"projects": "projects.csv", "deflators": "deflators.csv",
+              "benchmark": "benchmark.json", "out": "out"}
+    if target.endswith(".csv"):
+        rows = _shipped_rows(target)
+        for row, column, value in change:
+            rows[row][column] = value
+        with open(directory / target, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+    elif target == "benchmark.json":
+        field, token = change
+        text = (SHIPPED_DATA / target).read_text()
+        (directory / target).write_text(re.sub(rf'("{field}": )[^,\n]+', rf"\g<1>{token}", text))
+    else:
+        key, value = change
+        config[key] = value
+    (directory / "run.conf").write_text(
+        "".join(f"{key} = {value}\n" for key, value in config.items()), encoding="utf-8"
+    )
+
+
+@settings(derandomize=True, max_examples=50)
+@given(corruption=_corruptions)
+def test_corrupted_inputs_never_end_in_a_traceback(corruption):
+    with tempfile.TemporaryDirectory() as directory:
+        _write_corrupted(Path(directory), *corruption)
+        cwd = os.getcwd()
+        os.chdir(directory)
+        try:
+            for argv, _ in _COMMAND_MODULES.values():
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main([*argv, "--config", "run.conf"])
+                out, err = stdout.getvalue(), stderr.getvalue()
+                assert code in {0, 1, 2, 3, 4}, (argv, code, err)
+                assert "Traceback" not in out + err, argv
+                if argv == ["check"] and code == 2 and not err:
+                    # check lists violations on stdout, then their count.
+                    assert re.fullmatch(r"\d+ violation\(s\) in \d+ record\(s\)", out.splitlines()[-1])
+                elif code in {2, 3, 4}:
+                    assert len(err.splitlines()) == 1 and err.startswith("error:"), (argv, err)
+        finally:
+            os.chdir(cwd)

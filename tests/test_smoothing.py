@@ -1,5 +1,8 @@
 import math
+import random
+import threading
 import tracemalloc
+from datetime import date, timedelta
 from unittest import mock
 
 import numpy as np
@@ -8,6 +11,9 @@ from hypothesis import example, given, strategies as st
 
 import oracles
 from refclass import smoothing
+from refclass.normalization import OverrunObservation
+from refclass.reference_class import trend_by_date
+from refclass.registry import Metric, Stage
 from refclass.smoothing import loess_smooth, pool_adjacent_violators
 
 
@@ -93,20 +99,27 @@ spans = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 degrees = st.sampled_from([1, 2])
 
 
+def window_rows(values, bounds, size):
+    return smoothing._window_rows(np.lib.stride_tricks.sliding_window_view(values, size), bounds)
+
+
 @given(points=tied_points, span=spans, degree=degrees)
 def test_loess_windows_match_stable_argsort(points, span, degree):
     x = sorted(px for px, _ in points)
     size = min(len(x), max(math.ceil(span * len(x)), degree + 2))
     expected = oracles.loess_windows(x, size)
     bounds, _ = smoothing._windows(x, range(len(x)), size)
-    index = smoothing._window_index(bounds, size)
-    assert np.array_equal(index, oracles.window_index(bounds, size))
-    windows = [frozenset(row.tolist()) for row in index]
-    assert windows == expected
+    index = oracles.window_index(bounds, size)
+    assert [frozenset(row.tolist()) for row in index] == expected
+    # The strided rows, split windows rewritten, read the same values in the
+    # same order as gathering through the index (the positions themselves
+    # are the values of an arange).
+    assert np.array_equal(window_rows(np.array(x), bounds, size), np.array(x)[index])
+    assert np.array_equal(window_rows(np.arange(len(x)), bounds, size), index)
     # Scanning only the first point of each run of equal x finds the same windows.
     heads = [i for i in range(len(x)) if i == 0 or x[i] != x[i - 1]]
     bounds, _ = smoothing._windows(x, heads, size)
-    windows = [frozenset(row.tolist()) for row in smoothing._window_index(bounds, size)]
+    windows = [frozenset(row.tolist()) for row in window_rows(np.arange(len(x)), bounds, size)]
     assert windows == [expected[i] for i in heads]
 
 
@@ -164,7 +177,7 @@ def test_loess_large_dated_classes_are_bit_identical_to_per_point_fits(points, s
 
 
 # Dates spread over up to 60 days, so most fits have enough distinct x to
-# give every worker at least two one-row blocks.
+# fill several blocks of a few rows.
 spread_points = st.integers(10, 60).flatmap(
     lambda days: st.lists(
         st.tuples(
@@ -177,32 +190,34 @@ spread_points = st.integers(10, 60).flatmap(
 )
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
+# One row per block, and a few rows per block (windows here hold at most 80 points).
+@pytest.mark.parametrize("block_entries", [1, 1 << 9])
 @given(points=spread_points, span=spans, degree=degrees)
 @example(points=_ALL_DISTINCT, span=0.3, degree=2)
 @example(points=_LONG_TIE_BLOCK, span=0.05, degree=2)
-def test_loess_split_across_workers_is_bit_identical_to_per_point_fits(workers, points, span, degree):
-    parts = []
+def test_loess_block_boundaries_leave_fits_bit_identical(block_entries, points, span, degree):
+    expected = oracles.loess_smooth_per_point(points, span=span, degree=degree)
+    with mock.patch.multiple(smoothing, _DIRECT_MAX_POINTS=0, _BLOCK_ENTRIES=block_entries):
+        assert loess_smooth(points, span=span, degree=degree) == expected
 
-    def power_sums(x, y, rows, *rest):
-        parts.append(len(rows))
-        return unsplit(x, y, rows, *rest)
 
-    unsplit = smoothing._power_sums
-    with mock.patch.multiple(
-        smoothing,
-        _DIRECT_MAX_POINTS=0,
-        _BLOCK_ENTRIES=1,  # one row per block
-        _worker_count=lambda: workers,
-        _power_sums=power_sums,
-    ):
-        result = loess_smooth(points, span=span, degree=degree)
-    assert result == oracles.loess_smooth_per_point(points, span=span, degree=degree)
-    # The distinct x split into one part per worker when each gets at least
-    # two blocks, else into one.
-    distinct = len({x for x, _ in points})
-    assert sum(parts) == distinct
-    assert len(parts) == max(1, min(workers, distinct // 2))
+def test_large_fits_start_no_thread():
+    rng = random.Random(5)
+    observations = [
+        OverrunObservation(
+            project_id=f"p{i:04d}",
+            stage=Stage.C,
+            metric=Metric.COST,
+            value=rng.gauss(0.2, 0.3),
+            reference_date=date(1989, 1, 1) + timedelta(days=rng.randrange(8 * 365)),
+            pre_era=False,
+            outturn_nominal=500_000,
+        )
+        for i in range(1200)
+    ]
+    with mock.patch.object(threading.Thread, "start", side_effect=AssertionError("thread started")):
+        trend, _ = trend_by_date(observations)
+    assert len(trend) == len(observations)
 
 
 def test_loess_rank_deficient_windows_take_pinv_fallback():
