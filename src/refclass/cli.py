@@ -12,7 +12,6 @@ class, 4 non-monotone curve where monotonicity is required.
 from __future__ import annotations
 
 import io
-import json
 import math
 import sys
 from datetime import date
@@ -23,7 +22,7 @@ import click
 # Only what the option definitions need is imported here. Each command
 # imports the modules it runs, so no command loads another command's modules.
 from .errors import DataFormatError, EmptyClassError, NonMonotoneCurveError, RefclassError
-from .registry import DEFAULT_ERA_CUTOFF, DEFAULT_MIN_OUTTURN
+from .registry import DEFAULT_ERA_CUTOFF, DEFAULT_MIN_OUTTURN, DEFAULT_P_LEVELS, MAX_MONEY
 
 
 class _IsoDate(click.ParamType):
@@ -105,7 +104,7 @@ def _read_config(ctx: click.Context, _param, path: str | None) -> None:
 
 def _parse_p_list(_ctx, _param, value):
     if value is None:
-        return None
+        return DEFAULT_P_LEVELS
     levels = []
     for token in value.split(","):
         token = token.strip()
@@ -154,6 +153,10 @@ _STAGE_OPTION = click.option(
 )
 _METRIC_OPTION = click.option(
     "--metric", type=click.Choice(["cost", "schedule"]), required=True, help="Overrun metric."
+)
+_P_OPTION = click.option(
+    "--p", "levels", type=str, default=None, callback=_parse_p_list,
+    help=f"Comma-separated certainty levels (default {','.join(map(str, DEFAULT_P_LEVELS))}).",
 )
 
 
@@ -283,17 +286,15 @@ def cmd_overruns(stage: str, metric: str, projects, deflators, era_cutoff, out, 
 @_common_options
 @_STAGE_OPTION
 @_METRIC_OPTION
-@click.option("--p", "p_levels", type=str, default=None, callback=_parse_p_list,
-              help="Comma-separated certainty levels (default 0.5,0.8).")
+@_P_OPTION
 @click.option("--smooth", is_flag=True, help="Also report the smoothed, monotone uplift.")
-def cmd_uplift(stage: str, metric: str, p_levels, smooth: bool, projects, deflators, era_cutoff,
+def cmd_uplift(stage: str, metric: str, levels, smooth: bool, projects, deflators, era_cutoff,
                min_outturn, method, span, degree, grid_step, out, **_unused) -> None:
     """Required uplifts at chosen certainty levels."""
 
     from .formatting import certainty_text
     from .reference_class import isotonic_adjust, smooth_curve, uplift as class_uplift, uplift_curve
 
-    levels = p_levels or (0.5, 0.8)
     grid = _curve_grid(grid_step, degree, levels, "--p") if smooth else None
     _, observations = _observations(projects, deflators, era_cutoff)
     reference = _class_for(observations, stage, metric, min_outturn)
@@ -323,16 +324,14 @@ def cmd_uplift(stage: str, metric: str, p_levels, smooth: bool, projects, deflat
 @_common_options
 @_STAGE_OPTION
 @_METRIC_OPTION
-@click.option("--p", "p_levels", type=str, default=None, callback=_parse_p_list,
-              help="Comma-separated certainty levels (default 0.5,0.8).")
-def cmd_validate(stage: str, metric: str, p_levels, projects, deflators, era_cutoff, min_outturn,
+@_P_OPTION
+def cmd_validate(stage: str, metric: str, levels, projects, deflators, era_cutoff, min_outturn,
                  method, out, **_unused) -> None:
     """Leave-one-out check: would the uplift have covered each project?"""
 
     from .formatting import certainty_percent, round_half_away
     from .validation import leave_one_out, loov_summary, write_loov_csv
 
-    levels = p_levels or (0.5, 0.8)
     _, observations = _observations(projects, deflators, era_cutoff)
     reference = _class_for(observations, stage, metric, min_outturn)
 
@@ -440,7 +439,8 @@ def cmd_curve(stage: str, metric: str, projects, deflators, era_cutoff, min_outt
 @_common_options
 @_STAGE_OPTION
 @_METRIC_OPTION
-@click.option("--base", type=int, required=True, help="Base estimate (HKD thousands).")
+@click.option("--base", type=click.IntRange(1, MAX_MONEY), required=True,
+              help="Base estimate (HKD thousands).")
 @click.option("--scheme", type=str, default=None, callback=_parse_scheme,
               help="Tiers as name:certainty,... (default contract:0.55,project:0.60,portfolio:0.80).")
 @click.option("--no-isotonic", is_flag=True,
@@ -449,11 +449,9 @@ def cmd_tiers(stage: str, metric: str, base: int, scheme, no_isotonic: bool, pro
               era_cutoff, min_outturn, method, span, degree, grid_step, out, **_unused) -> None:
     """Tiered contingency allocation along the smoothed uplift curve."""
 
-    from .contingency import DEFAULT_TIER_SCHEME, allocation_as_dict, tier_allocation
+    from .contingency import DEFAULT_TIER_SCHEME, tier_allocation, write_allocation_json
     from .reference_class import isotonic_adjust, smooth_curve, uplift_curve
 
-    if base <= 0:
-        raise click.UsageError(f"--base must be positive, got {base}")
     tier_scheme = scheme if scheme is not None else DEFAULT_TIER_SCHEME
     grid = _curve_grid(
         grid_step, degree, [certainty for _, certainty in tier_scheme.tiers], "--scheme"
@@ -466,8 +464,9 @@ def cmd_tiers(stage: str, metric: str, base: int, scheme, no_isotonic: bool, pro
     if not no_isotonic:
         curve = isotonic_adjust(curve)
 
-    allocation = tier_allocation(base, curve, tier_scheme)
-    text = json.dumps(allocation_as_dict(allocation), indent=2, sort_keys=True) + "\n"
+    buffer = io.StringIO()
+    write_allocation_json(tier_allocation(base, curve, tier_scheme), buffer)
+    text = buffer.getvalue()
     _emit(out, f"tiers_{stage}_{metric}.json", text)
     click.echo(text, nl=False)
 

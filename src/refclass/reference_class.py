@@ -50,16 +50,17 @@ class QuantileMethod(enum.Enum):
         return self.value
 
 
-def empirical_quantile(values: Sequence[float], p: float, method: QuantileMethod) -> float:
-    """Quantile of a sorted sample.
+def rank_position(n: int, p: float, method: QuantileMethod) -> tuple[int, float]:
+    """Where the p-quantile of ``n`` sorted values sits: the 0-based order
+    statistic ``i`` it starts at, and the fraction ``frac`` of the way to the
+    next one (0.0 means the value at ``i`` alone).
 
-    ``values`` must already be ascending. With INF the result is the
-    smallest sample value x with (count of values <= x) / n >= p. With
-    INTERPOLATED the rank position h = (n - 1) p + 1 is read off the order
-    statistics, interpolating linearly between the two neighbours.
+    With INF, i + 1 is the smallest k with k / n >= p, so the quantile is the
+    smallest value x with (count of values <= x) / n >= p. With INTERPOLATED
+    the rank position h = (n - 1) p + 1, counted from 1, is interpolated
+    linearly between its two neighbours.
     """
 
-    n = len(values)
     if n == 0:
         raise EmptyClassError("cannot take a quantile of an empty sample")
     if not 0.0 < p <= 1.0:
@@ -74,17 +75,20 @@ def empirical_quantile(values: Sequence[float], p: float, method: QuantileMethod
             k -= 1
         while k / n < p:
             k += 1
-        return values[k - 1]
+        return k - 1, 0.0
 
-    h = (n - 1) * p + 1.0
-    h = min(max(h, 1.0), float(n))
-    low = int(math.floor(h))
-    if low >= n:
-        return values[n - 1]
-    frac = h - low
+    h = min(max((n - 1) * p + 1.0, 1.0), float(n))
+    low = math.floor(h)
+    return low - 1, h - low
+
+
+def empirical_quantile(values: Sequence[float], p: float, method: QuantileMethod) -> float:
+    """Quantile of an ascending sample, read where ``rank_position`` says."""
+
+    i, frac = rank_position(len(values), p, method)
     if frac == 0.0:
-        return values[low - 1]
-    return values[low - 1] + frac * (values[low] - values[low - 1])
+        return values[i]
+    return values[i] + frac * (values[i + 1] - values[i])
 
 
 @dataclass(frozen=True)
@@ -102,20 +106,21 @@ class ReferenceClass:
     """A filtered set of overrun observations.
 
     ``entries`` keeps the order the observations arrived in (leave-one-out
-    reports follow it); ``observations`` is the same set sorted ascending
+    reports follow it). ``order`` lists the entry indices sorted ascending
     by value (a stable sort, so ties keep their entry order), and
-    ``values`` their outcome fractions in that order.
+    ``values`` holds the outcome fractions in that order. Every quantile is
+    read off ``values`` at the positions ``rank_position`` gives.
     """
 
     filter: ClassFilter | None
     entries: tuple[OverrunObservation, ...]
-    observations: tuple[OverrunObservation, ...] = field(init=False)
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
     values: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.entries, key=lambda o: o.value))
-        object.__setattr__(self, "observations", ordered)
-        object.__setattr__(self, "values", tuple(o.value for o in ordered))
+        order = tuple(sorted(range(len(self.entries)), key=lambda i: self.entries[i].value))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "values", tuple(self.entries[i].value for i in order))
 
     @property
     def n(self) -> int:

@@ -29,6 +29,10 @@ from .errors import DataFormatError, DeflatorCoverageError, RecordConsistencyErr
 # contingency, disbursement sum vs outturn).
 CONSISTENCY_TOLERANCE = 0.005
 
+#: Largest money magnitude accepted (HKD thousands): the largest integer a
+#: float holds exactly, so the ratio and tolerance checks stay exact.
+MAX_MONEY = 2**53
+
 # The option defaults live here, in the module every command loads, and are
 # re-exported by the modules that apply them.
 
@@ -39,6 +43,9 @@ DEFAULT_ERA_CUTOFF = date(1993, 7, 1)
 #: Default outturn threshold for class membership: HKD 100 million, in
 #: integer HKD thousands.
 DEFAULT_MIN_OUTTURN = 100_000
+
+#: Certainty levels reported when none are named.
+DEFAULT_P_LEVELS = (0.5, 0.8)
 
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9_.-]+$")
 _INT_PATTERN = re.compile(r"^[+-]?[0-9]+$")
@@ -243,7 +250,12 @@ def _parse_id(text: str) -> str:
 def _parse_money(text: str) -> int:
     if not _INT_PATTERN.match(text):
         raise ValueError(f"invalid money amount {text!r} (integer HKD thousands expected)")
-    return int(text)
+    # int() refuses a string past 4300 digits; a cell that long is out of
+    # range unless zero-padded, and is rejected either way.
+    value = int(text) if len(text) < 4300 else MAX_MONEY + 1
+    if abs(value) > MAX_MONEY:
+        raise ValueError(f"money amount exceeds {MAX_MONEY} in magnitude")
+    return value
 
 
 def _parse_year(text: str) -> int:

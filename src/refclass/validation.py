@@ -6,6 +6,11 @@ compared with the uplift it would have been given. An overrun is counted as
 prevented when the actual outcome does not exceed the uplift (the boundary
 case counts as covered: funding exactly met the outcome).
 
+The held-out uplift is read from the sorted rest at the order statistics
+``reference_class.rank_position`` gives for n - 1 values, the one place
+the quantile rule lives. Which of them shift depends only on where the
+held-out project ranks, so each level needs at most three quantiles.
+
 With distinct values the hit count follows from n and p, not the data.
 Under INF it is the smallest k with k / (n - 1) >= p. Under INTERPOLATED,
 with h = (n - 2) p + 1, it is floor(h) or floor(h) + 1: only the project
@@ -23,9 +28,8 @@ from typing import IO, Sequence
 
 from .errors import InsufficientDataError
 from .formatting import certainty_percent, signed_percent, yes_no
-from .reference_class import QuantileMethod, ReferenceClass, empirical_quantile
-
-DEFAULT_P_LEVELS = (0.5, 0.8)
+from .reference_class import QuantileMethod, ReferenceClass, empirical_quantile, rank_position
+from .registry import DEFAULT_P_LEVELS
 
 
 @dataclass(frozen=True)
@@ -47,38 +51,6 @@ class LoovSummary:
     rate: float
 
 
-class _WithoutPosition(Sequence[float]):
-    """A sorted sample with one position left out, read in O(1) per item:
-    item k is ``ordered[k]`` before the gap and ``ordered[k + 1]`` after."""
-
-    def __init__(self, ordered: Sequence[float], gap: int) -> None:
-        self._ordered = ordered
-        self._gap = gap
-
-    def __len__(self) -> int:
-        return len(self._ordered) - 1
-
-    def __getitem__(self, k: int) -> float:
-        if k < 0:
-            k += len(self)
-        return self._ordered[k if k < self._gap else k + 1]
-
-
-class _ReadPositions(Sequence[float]):
-    """A sample of ``n`` zeros that records which positions are read."""
-
-    def __init__(self, n: int) -> None:
-        self._n = n
-        self.read: set[int] = set()
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, k: int) -> float:
-        self.read.add(k % self._n)
-        return 0.0
-
-
 def leave_one_out(
     reference: ReferenceClass,
     p_levels: Sequence[float] = DEFAULT_P_LEVELS,
@@ -94,28 +66,25 @@ def leave_one_out(
         raise ValueError("at least one certainty level is required")
     levels = sorted(set(p_levels))
 
-    # The class's values are sorted once, stably, so entry i sits at sorted
-    # position rank[i]; dropping that one position leaves exactly the sorted
-    # rest of the class.
+    # Entry i sits at sorted position rank[i]; dropping that one position
+    # leaves exactly the sorted rest of the class.
     ordered = reference.values
-    order = sorted(range(reference.n), key=lambda i: reference.entries[i].value)
     rank = [0] * reference.n
-    for position, i in enumerate(order):
+    for position, i in enumerate(reference.order):
         rank[i] = position
 
-    # empirical_quantile reads the rest at positions fixed by its length and
-    # p alone, at most two adjacent ones. Leaving out sorted position g
-    # shifts exactly the read positions >= g, so each level has at most
-    # three answers: one per number of read positions shifted.
+    # The rest is read at position start (and start + 1 when interpolating),
+    # which rank_position fixes from n - 1 and p alone. Leaving out sorted
+    # position g shifts exactly the read positions >= g, so each level has
+    # at most three answers: one per number of read positions shifted.
     answers = {}
     for p in levels:
-        probe = _ReadPositions(reference.n - 1)
-        empirical_quantile(probe, p, method)
-        read = sorted(probe.read)
+        start, frac = rank_position(reference.n - 1, p, method)
+        read = [start, start + 1] if frac else [start]
         # Gap read[j] shifts read[j:]; a gap past the last read shifts none.
         answers[p] = read, [
-            empirical_quantile(_WithoutPosition(ordered, gap), p, method)
-            for gap in read + [read[-1] + 1]
+            empirical_quantile(ordered[:g] + ordered[g + 1:], p, method)
+            for g in read + [read[-1] + 1]
         ]
 
     rows: list[LoovRow] = []

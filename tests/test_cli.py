@@ -311,6 +311,8 @@ def test_usage_errors_exit_1(table2_paths, tmp_path, capsys):
         ["curve", "--grid-step", "0.5", "--degree", "1"],
         ["uplift", "--smooth", "--grid-step", "0.5", "--p", "0.5"],
         ["tiers", "--base", "100", "--grid-step", "0.5", "--scheme", "a:0.5"],
+        ["tiers", "--base", "0"],
+        ["tiers", "--base", "9" * 400],
     ):
         code, _, err = run(capsys, *bad, *args, "--stage", "C", "--metric", "cost")
         assert code == 1, bad
@@ -555,6 +557,23 @@ def test_data_errors_exit_2(table2_paths, tmp_path, capsys):
             assert code == 2, (command, name)
             assert err == f"error: benchmark 'international-roads': {message}\n"
 
+    # A money amount too large for a float to hold, in any money column.
+    with open(projects, newline="") as handle:
+        rows = list(csv.reader(handle))
+    for column in ("outturn_nominal", "base_c", "disbursements"):
+        j = rows[0].index(column)
+        huge = [list(row) for row in rows]
+        huge[1][j] = "2001:" + "9" * 400 if column == "disbursements" else "9" * 400
+        path = tmp_path / f"huge_{column}.csv"
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(huge)
+        for command in (["check"], ["overruns", "--stage", "C", "--metric", "cost"]):
+            code, _, err = run(capsys, *command, "--projects", str(path), "--deflators", deflators,
+                               "--out", str(tmp_path / "out"))
+            assert code == 2, (command, column)
+            assert err == (f"error: row 2, column {column!r}: "
+                           "money amount exceeds 9007199254740992 in magnitude\n")
+
 
 def test_empty_class_exits_3(table2_paths, tmp_path, capsys):
     args = base_args(table2_paths, tmp_path / "out")
@@ -745,7 +764,7 @@ _HOSTILE_VALUES = [
     "", " ", "x", "-1", "0", "1.5", "1e309", "-1e309", "nan", "inf", "-inf",
     "99999999999999999999999", "2000-13-01", "1993-02-30", "0001-01-01", "9999-12-31",
     "1997:", ":5", "1997:1;1997:2", "1997:-5", "a;b", "é", "\x00", "\ufeff", "0x10",
-    "1_000", "+5", "--help", "=",
+    "1_000", "+5", "--help", "=", "9" * 400,
 ]
 _hostile = st.one_of(st.sampled_from(_HOSTILE_VALUES), st.text(max_size=6))
 # JSON tokens for one benchmark constant.

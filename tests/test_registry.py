@@ -10,6 +10,7 @@ import corpus
 from refclass.errors import DataFormatError, DeflatorCoverageError, RecordConsistencyError
 from refclass.registry import (
     INTERNATIONAL_ROADS,
+    MAX_MONEY,
     Metric,
     PROJECT_COLUMNS,
     ProjectRecord,
@@ -132,6 +133,17 @@ def test_money_cells_must_be_plain_integers():
     text = HEADER + "\np1,,,,,,,,,,,,,,,,,,,,2001-06-30,1_0,\n"
     with pytest.raises(DataFormatError, match="outturn_nominal"):
         parse_text(text)
+
+
+@pytest.mark.parametrize("sign", ["", "-", "+"])
+def test_money_magnitude_is_capped_where_floats_stay_exact(sign):
+    row = "p1,,,,,,,,,,,,,,,,,,,,2001-06-30,{},\n"
+    text = HEADER + "\n" + row.format(sign + "000" + str(MAX_MONEY))
+    (record,), _ = parse_project_records_lenient(io.StringIO(text))
+    assert abs(record.outturn_nominal) == MAX_MONEY
+    for amount in (str(MAX_MONEY + 1), "9" * 5000):
+        with pytest.raises(DataFormatError, match=r"outturn_nominal.*exceeds 9007199254740992"):
+            parse_text(HEADER + "\n" + row.format(sign + amount))
 
 
 def test_validate_record_consistent_is_clean(demo_records):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import corpus
 import oracles
@@ -91,6 +91,14 @@ def test_single_observation_rejected():
         leave_one_out(reference, (0.5,))
 
 
+@pytest.mark.parametrize("method", list(QuantileMethod))
+@pytest.mark.parametrize("p", [0.0, 1.5, math.nan])
+def test_certainty_outside_unit_interval_rejected(p, method):
+    reference = ReferenceClass.from_values([0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="p must lie in"):
+        leave_one_out(reference, (0.5, p), method)
+
+
 def test_levels_are_deduplicated():
     reference = ReferenceClass.from_values([0.0, 0.1, 0.2])
     rows = leave_one_out(reference, (0.8, 0.5, 0.5))
@@ -120,6 +128,9 @@ def test_mixed_stage_class_order(table2_class):
     assert [row.actual for row in rows] == list(corpus.TABLE2_VALUES)
 
 
+# n - 1 = 340 and 340 * 0.55 rounds up to 187.00000000000003.
+@example(values=[k / 100 for k in range(341)], levels=[0.55], method=QuantileMethod.INF)
+@example(values=[0.1] * 7, levels=[0.5, 1.0], method=QuantileMethod.INTERPOLATED)
 @given(
     # Tenths from a narrow range give many ties; free floats give none.
     values=st.lists(
