@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Every setting can come from three places, in priority order: the command
-line flag, a flat key=value config file named by --config, then the
-built-in default. File outputs land under the --out directory and are
-byte-stable: the same inputs always produce the same bytes.
+Each command takes the settings it reads and the file settings. A setting
+can come from three places, in priority order: the command line flag, a
+flat key=value config file named by --config, then the built-in default.
+File outputs land under the --out directory and are byte-stable: the same
+inputs always produce the same bytes.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 empty reference
 class, 4 non-monotone curve where monotonicity is required.
@@ -21,7 +22,7 @@ import click
 
 # Only what the option definitions need is imported here. Each command
 # imports the modules it runs, so no command loads another command's modules.
-from .errors import DataFormatError, EmptyClassError, NonMonotoneCurveError, RefclassError
+from .errors import DataFormatError, EmptyClassError, NonMonotoneCurveError, RefclassError, shortened
 from .registry import DEFAULT_ERA_CUTOFF, DEFAULT_MIN_OUTTURN, DEFAULT_P_LEVELS, MAX_MONEY
 
 
@@ -36,7 +37,7 @@ class _IsoDate(click.ParamType):
         try:
             return date.fromisoformat(value)
         except ValueError:
-            self.fail(f"{value!r} is not an ISO date", param, ctx)
+            self.fail(f"{shortened(value)} is not an ISO date", param, ctx)
 
 
 class _FloatRange(click.FloatRange):
@@ -49,8 +50,20 @@ class _FloatRange(click.FloatRange):
         return value
 
 
-#: The settings every command takes, keyed by config-file key; each is also
-#: the option ``--<key>`` with ``-`` for ``_``. A config-file value reaches
+class _IntRange(click.IntRange):
+    """An integer range whose error echoes the value shortened, however many
+    digits it has."""
+
+    def convert(self, value, param, ctx):
+        try:
+            return super().convert(value, param, ctx)
+        except click.BadParameter:
+            low = "" if self.min is None else f"{self.min}<="
+            self.fail(f"{shortened(value)} is not an integer in the range {low}x<={self.max}", param, ctx)
+
+
+#: The settings, keyed by config-file key; each is also the option ``--<key>``
+#: (``-`` for ``_``) of each command that takes it. A config-file value reaches
 #: the command through click's default map, so it is parsed and validated by
 #: the same type as the flag, and a flag given on the command line wins.
 _SETTINGS: dict[str, dict] = {
@@ -59,18 +72,22 @@ _SETTINGS: dict[str, dict] = {
     "benchmark": dict(help="Benchmark constants JSON."),
     "era_cutoff": dict(type=_IsoDate(), default=DEFAULT_ERA_CUTOFF,
                        help="Exclude projects whose Category C upgrade predates this ISO date."),
-    "min_outturn": dict(type=int, default=DEFAULT_MIN_OUTTURN,
+    "min_outturn": dict(type=_IntRange(max=MAX_MONEY), default=DEFAULT_MIN_OUTTURN,
                         help="Smallest outturn (HKD thousands) admitted to a class."),
-    "method": dict(type=click.Choice(["inf", "interp", "both"], case_sensitive=False),
+    "method": dict(type=click.Choice(["inf", "interp"], case_sensitive=False),
                    default="interp", help="Quantile convention (default interp)."),
     "span": dict(type=_FloatRange(0, 1, min_open=True), default=0.75,
                  help="Loess span fraction."),
-    "degree": dict(type=click.IntRange(1, 2), default=2, help="Loess degree."),
+    "degree": dict(type=_IntRange(1, 2), default=2, help="Loess degree."),
     "grid_step": dict(type=_FloatRange(0, 0.99, min_open=True), default=0.01,
                       help="Certainty grid step."),
     "out": dict(type=click.Path(file_okay=False), default="out",
                 help="Output directory (default ./out)."),
 }
+#: Every command takes these, so that one config file serves all commands.
+_FILE_SETTINGS = ("projects", "deflators", "benchmark", "out")
+#: What uplift, curve and tiers read.
+_CURVE_SETTINGS = tuple(key for key in _SETTINGS if key != "benchmark")
 
 
 def _read_config(ctx: click.Context, _param, path: str | None) -> None:
@@ -94,7 +111,7 @@ def _read_config(ctx: click.Context, _param, path: str | None) -> None:
             raise click.UsageError(f"config line {line_number}: expected key = value")
         key = key.strip()
         if key not in _SETTINGS:
-            raise click.UsageError(f"config line {line_number}: unknown key {key!r}")
+            raise click.UsageError(f"config line {line_number}: unknown key {shortened(key)}")
         if "\0" in value:
             # No path or number holds one; the OS would refuse it as a path.
             raise click.UsageError(f"config line {line_number}: {key} holds a NUL character")
@@ -111,7 +128,7 @@ def _parse_p_list(_ctx, _param, value):
         try:
             p = float(token)
         except ValueError:
-            raise click.UsageError(f"invalid certainty {token!r} in --p")
+            raise click.UsageError(f"invalid certainty {shortened(token)} in --p")
         if not 0.0 < p <= 1.0:
             raise click.UsageError(f"certainty {p} in --p outside (0, 1]")
         levels.append(p)
@@ -129,23 +146,32 @@ def _parse_scheme(_ctx, _param, value):
     for token in value.split(","):
         name, sep, certainty = token.strip().partition(":")
         if not sep:
-            raise click.UsageError(f"tier {token!r} is not name:certainty")
+            raise click.UsageError(f"tier {shortened(token)} is not name:certainty")
         try:
             tiers.append((name.strip(), float(certainty)))
         except ValueError:
-            raise click.UsageError(f"tier {token!r} has a non-numeric certainty")
+            raise click.UsageError(f"tier {shortened(token)} has a non-numeric certainty")
     try:
         return TierScheme(tiers=tuple(tiers))
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
 
-def _common_options(command):
-    for key, attributes in reversed(_SETTINGS.items()):
-        command = click.option("--" + key.replace("_", "-"), **attributes)(command)
-    # Eager, so the file is read before any setting looks up its default.
-    return click.option("--config", is_eager=True, expose_value=False, callback=_read_config,
-                        help="Flat key = value settings file.")(command)
+def _settings(*read: str, **overrides: dict):
+    """Give a command ``--config`` and, as parameters, the settings it reads.
+    A file setting it does not read is accepted but not passed on; any other
+    is no option of the command. ``overrides`` replaces a setting's attributes."""
+
+    def decorate(command):
+        for key, attributes in reversed(_SETTINGS.items()):
+            if key in read or key in _FILE_SETTINGS:
+                attributes = {**attributes, "expose_value": key in read, **overrides.get(key, {})}
+                command = click.option("--" + key.replace("_", "-"), **attributes)(command)
+        # Eager, so the file is read before any setting looks up its default.
+        return click.option("--config", is_eager=True, expose_value=False, callback=_read_config,
+                            help="Flat key = value settings file.")(command)
+
+    return decorate
 
 
 _STAGE_OPTION = click.option(
@@ -190,14 +216,6 @@ def _observations(projects: str | None, deflators: str | None, era_cutoff: date)
     return records, derive_all_observations(records, series, era_cutoff)
 
 
-def _load_benchmark(path: str | None):
-    from .registry import parse_benchmark_constants
-
-    if path is None:
-        return None
-    return _parse_file(path, parse_benchmark_constants)
-
-
 def _class_for(observations, stage: str, metric: str, min_outturn: int):
     from .reference_class import ClassFilter, build_class
     from .registry import Metric, Stage
@@ -209,7 +227,7 @@ def _class_for(observations, stage: str, metric: str, min_outturn: int):
     if reference.is_empty:
         raise EmptyClassError(
             f"reference class is empty: stage {stage}, metric {metric}, "
-            f"min outturn {min_outturn}"
+            f"min outturn {shortened(min_outturn)}"
         )
     return reference
 
@@ -239,27 +257,11 @@ def _emit(out: str, filename: str, text: str) -> None:
     (directory / filename).write_text(text, encoding="utf-8")
 
 
-def _quantile_methods(method: str):
-    from .reference_class import QuantileMethod
-
-    if method == "both":
-        return [QuantileMethod.INTERPOLATED, QuantileMethod.INF]
-    return [QuantileMethod.from_token(method)]
-
-
-def _single_method(method: str, command: str):
-    from .reference_class import QuantileMethod
-
-    if method == "both":
-        raise click.UsageError(f"{command} needs a single quantile method, not both")
-    return QuantileMethod.from_token(method)
-
-
 @cli.command("overruns")
-@_common_options
+@_settings("projects", "deflators", "era_cutoff", "out")
 @_STAGE_OPTION
 @_METRIC_OPTION
-def cmd_overruns(stage: str, metric: str, projects, deflators, era_cutoff, out, **_unused) -> None:
+def cmd_overruns(stage: str, metric: str, projects, deflators, era_cutoff, out) -> None:
     """Normalized overrun observations for one stage and metric."""
 
     from .registry import Metric, Stage
@@ -283,23 +285,26 @@ def cmd_overruns(stage: str, metric: str, projects, deflators, era_cutoff, out, 
 
 
 @cli.command("uplift")
-@_common_options
+@_settings(*_CURVE_SETTINGS, method=dict(type=click.Choice(["inf", "interp", "both"], case_sensitive=False)))
 @_STAGE_OPTION
 @_METRIC_OPTION
 @_P_OPTION
 @click.option("--smooth", is_flag=True, help="Also report the smoothed, monotone uplift.")
 def cmd_uplift(stage: str, metric: str, levels, smooth: bool, projects, deflators, era_cutoff,
-               min_outturn, method, span, degree, grid_step, out, **_unused) -> None:
+               min_outturn, method, span, degree, grid_step, out) -> None:
     """Required uplifts at chosen certainty levels."""
 
     from .formatting import certainty_text
-    from .reference_class import isotonic_adjust, smooth_curve, uplift as class_uplift, uplift_curve
+    from .reference_class import (
+        QuantileMethod, isotonic_adjust, smooth_curve, uplift as class_uplift, uplift_curve,
+    )
 
     grid = _curve_grid(grid_step, degree, levels, "--p") if smooth else None
     _, observations = _observations(projects, deflators, era_cutoff)
     reference = _class_for(observations, stage, metric, min_outturn)
 
-    methods = _quantile_methods(method)
+    both = [QuantileMethod.INTERPOLATED, QuantileMethod.INF]
+    methods = both if method == "both" else [QuantileMethod.from_token(method)]
     smoothed_curve = None
     if smooth:
         raw = uplift_curve(reference, grid, methods[0])
@@ -321,21 +326,22 @@ def cmd_uplift(stage: str, metric: str, levels, smooth: bool, projects, deflator
 
 
 @cli.command("validate")
-@_common_options
+@_settings("projects", "deflators", "era_cutoff", "min_outturn", "method", "out")
 @_STAGE_OPTION
 @_METRIC_OPTION
 @_P_OPTION
 def cmd_validate(stage: str, metric: str, levels, projects, deflators, era_cutoff, min_outturn,
-                 method, out, **_unused) -> None:
+                 method, out) -> None:
     """Leave-one-out check: would the uplift have covered each project?"""
 
     from .formatting import certainty_percent, round_half_away
+    from .reference_class import QuantileMethod
     from .validation import leave_one_out, loov_summary, write_loov_csv
 
     _, observations = _observations(projects, deflators, era_cutoff)
     reference = _class_for(observations, stage, metric, min_outturn)
 
-    rows = leave_one_out(reference, levels, _single_method(method, "validate"))
+    rows = leave_one_out(reference, levels, QuantileMethod.from_token(method))
     buffer = io.StringIO()
     write_loov_csv(rows, buffer)
     text = buffer.getvalue()
@@ -350,16 +356,16 @@ def cmd_validate(stage: str, metric: str, levels, projects, deflators, era_cutof
 
 
 @cli.command("benchmark")
-@_common_options
+@_settings("projects", "deflators", "benchmark", "era_cutoff", "min_outturn", "out")
 @click.option("--benchmark-label", type=str, default=None,
               help="Which label to use from the benchmark file (default: international-roads, else first).")
-def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, min_outturn, out,
-                  **_unused) -> None:
+def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, min_outturn,
+                  out) -> None:
     """Descriptive comparison of every class against benchmark constants."""
 
     from .benchmarking import benchmark_report, phase_breakdown, write_benchmark_csv, write_benchmark_json
     from .reference_class import ClassFilter, build_class
-    from .registry import Metric, Stage
+    from .registry import Metric, Stage, parse_benchmark_constants
 
     records, observations = _observations(projects, deflators, era_cutoff)
 
@@ -376,12 +382,12 @@ def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, m
         raise EmptyClassError("no reference class has any observations")
 
     constants = None
-    available = _load_benchmark(benchmark)
+    available = None if benchmark is None else _parse_file(benchmark, parse_benchmark_constants)
     if available:
         if benchmark_label is not None:
             if benchmark_label not in available:
                 raise click.UsageError(
-                    f"label {benchmark_label!r} not in benchmark file "
+                    f"label {shortened(benchmark_label)} not in benchmark file "
                     f"(has: {', '.join(sorted(available))})"
                 )
             constants = available[benchmark_label]
@@ -406,22 +412,22 @@ def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, m
 
 
 @cli.command("curve")
-@_common_options
+@_settings(*_CURVE_SETTINGS)
 @_STAGE_OPTION
 @_METRIC_OPTION
 def cmd_curve(stage: str, metric: str, projects, deflators, era_cutoff, min_outturn, method, span,
-              degree, grid_step, out, **_unused) -> None:
+              degree, grid_step, out) -> None:
     """Full uplift curve: raw quantiles, smoothed fit, confidence band."""
 
     from .formatting import certainty_text
     from .plot import curve_svg
-    from .reference_class import isotonic_adjust, smooth_curve, uplift_curve
+    from .reference_class import QuantileMethod, isotonic_adjust, smooth_curve, uplift_curve
 
     grid = _curve_grid(grid_step, degree)
     _, observations = _observations(projects, deflators, era_cutoff)
     reference = _class_for(observations, stage, metric, min_outturn)
 
-    raw = uplift_curve(reference, grid, _single_method(method, "curve"))
+    raw = uplift_curve(reference, grid, QuantileMethod.from_token(method))
     smoothed = isotonic_adjust(smooth_curve(raw, span=span, degree=degree))
 
     buffer = io.StringIO()
@@ -436,21 +442,21 @@ def cmd_curve(stage: str, metric: str, projects, deflators, era_cutoff, min_outt
 
 
 @cli.command("tiers")
-@_common_options
+@_settings(*_CURVE_SETTINGS)
 @_STAGE_OPTION
 @_METRIC_OPTION
-@click.option("--base", type=click.IntRange(1, MAX_MONEY), required=True,
+@click.option("--base", type=_IntRange(1, MAX_MONEY), required=True,
               help="Base estimate (HKD thousands).")
 @click.option("--scheme", type=str, default=None, callback=_parse_scheme,
               help="Tiers as name:certainty,... (default contract:0.55,project:0.60,portfolio:0.80).")
 @click.option("--no-isotonic", is_flag=True,
               help="Skip the monotone adjustment of the smoothed curve (may fail with exit 4).")
 def cmd_tiers(stage: str, metric: str, base: int, scheme, no_isotonic: bool, projects, deflators,
-              era_cutoff, min_outturn, method, span, degree, grid_step, out, **_unused) -> None:
+              era_cutoff, min_outturn, method, span, degree, grid_step, out) -> None:
     """Tiered contingency allocation along the smoothed uplift curve."""
 
     from .contingency import DEFAULT_TIER_SCHEME, tier_allocation, write_allocation_json
-    from .reference_class import isotonic_adjust, smooth_curve, uplift_curve
+    from .reference_class import QuantileMethod, isotonic_adjust, smooth_curve, uplift_curve
 
     tier_scheme = scheme if scheme is not None else DEFAULT_TIER_SCHEME
     grid = _curve_grid(
@@ -459,7 +465,7 @@ def cmd_tiers(stage: str, metric: str, base: int, scheme, no_isotonic: bool, pro
     _, observations = _observations(projects, deflators, era_cutoff)
     reference = _class_for(observations, stage, metric, min_outturn)
 
-    raw = uplift_curve(reference, grid, _single_method(method, "tiers"))
+    raw = uplift_curve(reference, grid, QuantileMethod.from_token(method))
     curve = smooth_curve(raw, span=span, degree=degree)
     if not no_isotonic:
         curve = isotonic_adjust(curve)
@@ -472,11 +478,11 @@ def cmd_tiers(stage: str, metric: str, base: int, scheme, no_isotonic: bool, pro
 
 
 @cli.command("check")
-@_common_options
-def cmd_check(projects, deflators, benchmark, **_unused) -> None:
+@_settings("projects", "deflators", "benchmark")
+def cmd_check(projects, deflators, benchmark) -> None:
     """Registry validation only: report every consistency violation."""
 
-    from .registry import parse_deflator_series, parse_project_records_lenient
+    from .registry import parse_benchmark_constants, parse_deflator_series, parse_project_records_lenient
 
     records, reports = _parse_file(
         _required(projects, "projects"), parse_project_records_lenient, newline=""
@@ -490,7 +496,8 @@ def cmd_check(projects, deflators, benchmark, **_unused) -> None:
 
     if deflators is not None:
         _parse_file(deflators, parse_deflator_series, newline="")
-    _load_benchmark(benchmark)
+    if benchmark is not None:
+        _parse_file(benchmark, parse_benchmark_constants)
 
     if problem_count:
         click.echo(f"{problem_count} violation(s) in {len(records)} record(s)")
@@ -508,21 +515,12 @@ def main(argv: list[str] | None = None) -> int:
             return result
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1
-    except EmptyClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NonMonotoneCurveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (RefclassError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return {EmptyClassError: 3, NonMonotoneCurveError: 4}.get(type(exc), 2)
     return 0
 
 

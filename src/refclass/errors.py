@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the toolkit.
 
 Every error raised on purpose derives from RefclassError so the CLI can map
-failures onto its exit-code contract in one place.
+failures onto its exit-code contract in one place. ``shortened`` is how an
+error message echoes a value.
 """
 
 from __future__ import annotations
@@ -34,3 +35,15 @@ class InsufficientDataError(RefclassError):
 
 class NonMonotoneCurveError(RefclassError):
     """An uplift curve is not non-decreasing where monotonicity is required."""
+
+
+def shortened(value: str | int, limit: int = 40) -> str:
+    """``repr(value)``; a value of more than ``limit`` characters shows only
+    its first ``limit`` and its length, so that an error line which echoes a
+    value stays short however long the value is."""
+
+    text = str(value)
+    if len(text) <= limit:
+        return repr(value)
+    head = repr(text[:limit]) if isinstance(value, str) else text[:limit]
+    return f"{head}... ({len(text)} characters)"

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from datetime import date
 from typing import IO, NamedTuple
 
-from .errors import DataFormatError, DeflatorCoverageError, RecordConsistencyError
+from .errors import DataFormatError, DeflatorCoverageError, RecordConsistencyError, shortened
 
 # Relative tolerance for money bookkeeping checks (approved vs base +
 # contingency, disbursement sum vs outturn).
@@ -243,13 +243,13 @@ INTERNATIONAL_ROADS = BenchmarkConstants(
 
 def _parse_id(text: str) -> str:
     if not _ID_PATTERN.match(text):
-        raise ValueError(f"invalid project id {text!r}")
+        raise ValueError(f"invalid project id {shortened(text)}")
     return text
 
 
 def _parse_money(text: str) -> int:
     if not _INT_PATTERN.match(text):
-        raise ValueError(f"invalid money amount {text!r} (integer HKD thousands expected)")
+        raise ValueError(f"invalid money amount {shortened(text)} (integer HKD thousands expected)")
     # int() refuses a string past 4300 digits; a cell that long is out of
     # range unless zero-padded, and is rejected either way.
     value = int(text) if len(text) < 4300 else MAX_MONEY + 1
@@ -260,7 +260,7 @@ def _parse_money(text: str) -> int:
 
 def _parse_year(text: str) -> int:
     if not _YEAR_PATTERN.match(text):
-        raise ValueError(f"invalid year {text!r}")
+        raise ValueError(f"invalid year {shortened(text)}")
     return int(text)
 
 
@@ -268,7 +268,7 @@ def _parse_date(text: str) -> date:
     try:
         return date.fromisoformat(text)
     except ValueError:
-        raise ValueError(f"invalid ISO date {text!r}") from None
+        raise ValueError(f"invalid ISO date {shortened(text)}") from None
 
 
 def _parse_disbursements(text: str) -> dict[int, int]:
@@ -279,7 +279,7 @@ def _parse_disbursements(text: str) -> dict[int, int]:
             raise ValueError("empty disbursement entry")
         year_text, sep, amount_text = chunk.partition(":")
         if not sep:
-            raise ValueError(f"disbursement entry {chunk!r} is not year:amount")
+            raise ValueError(f"disbursement entry {shortened(chunk)} is not year:amount")
         year = _parse_year(year_text.strip())
         amount = _parse_money(amount_text.strip())
         if year in spent:
@@ -554,7 +554,9 @@ def parse_deflator_series(
         try:
             value = float(row[1].strip())
         except ValueError:
-            raise DataFormatError(f"row {row_number}, column 'index': invalid number {row[1]!r}") from None
+            raise DataFormatError(
+                f"row {row_number}, column 'index': invalid number {shortened(row[1])}"
+            ) from None
         pairs.append((year, value))
     return DeflatorSeries.from_pairs(pairs, base_year=base_year)
 

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import corpus
 import refclass
-from refclass.cli import _SETTINGS, main
+from refclass.cli import _SETTINGS, cli, main
 from refclass.registry import (
     ProjectRecord,
     Stage,
@@ -279,7 +280,7 @@ def test_usage_errors_exit_1(table2_paths, tmp_path, capsys):
         capsys, "curve", *args, "--stage", "C", "--metric", "cost", "--method", "both"
     )
     assert code == 1
-    assert "single quantile method" in err
+    assert "'both' is not one of 'inf', 'interp'" in err
 
     config = tmp_path / "bad.conf"
     config.write_text("bogus = 1\n")
@@ -313,11 +314,22 @@ def test_usage_errors_exit_1(table2_paths, tmp_path, capsys):
         ["tiers", "--base", "100", "--grid-step", "0.5", "--scheme", "a:0.5"],
         ["tiers", "--base", "0"],
         ["tiers", "--base", "9" * 400],
+        ["tiers", "--base", "9" * 400 + "x"],
+        ["uplift", "--min-outturn", "9" * 400],
+        ["uplift", "--min-outturn", str(2**53 + 1)],
+        ["uplift", "--era-cutoff", "9" * 400],
+        ["uplift", "--p", "9" * 400 + "x"],
     ):
         code, _, err = run(capsys, *bad, *args, "--stage", "C", "--metric", "cost")
         assert code == 1, bad
         assert "Traceback" not in err
         assert "Error:" in err
+        assert max(len(line) for line in err.splitlines()) < 200, bad
+
+    # A negative smallest outturn admits every project.
+    code, _, _ = run(capsys, "uplift", *args, "--stage", "C", "--metric", "cost",
+                     "--min-outturn", "-5")
+    assert code == 0
 
     latin1 = tmp_path / "latin1.conf"
     latin1.write_bytes(b"# caf\xe9\nspan = 0.5\n")
@@ -458,6 +470,58 @@ def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
     assert set(json.loads(done.stdout.splitlines()[-1])) & _OPTIONAL_MODULES == loaded
 
 
+# The settings each command reads. Every command also takes the four file
+# settings, so one config file serves them all, and an analysis setting it
+# does not read is no option of that command.
+_FILE_SETTINGS = {"projects", "deflators", "benchmark", "out"}
+_ANALYSIS = set(_SETTINGS) - _FILE_SETTINGS
+_READS = {
+    "check": {"projects", "deflators", "benchmark"},
+    "overruns": {"projects", "deflators", "era_cutoff", "out"},
+    "validate": {"projects", "deflators", "era_cutoff", "min_outturn", "method", "out"},
+    "benchmark": {"projects", "deflators", "benchmark", "era_cutoff", "min_outturn", "out"},
+    "uplift": set(_SETTINGS) - {"benchmark"},
+    "curve": set(_SETTINGS) - {"benchmark"},
+    "tiers": set(_SETTINGS) - {"benchmark"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_each_command_takes_only_the_settings_it_reads(command, tmp_path, capsys):
+    reads = _READS[command]
+    flag = {key: "--" + key.replace("_", "-") for key in _SETTINGS}
+    assert set(inspect.signature(cli.commands[command].callback).parameters) & set(_SETTINGS) == reads
+    code, help_text, _ = run(capsys, command, "--help")
+    assert code == 0
+    offered = {key for key in _SETTINGS if re.search(rf"^\s+{flag[key]}\s", help_text, re.M)}
+    assert offered == _FILE_SETTINGS | reads
+
+    argv = _COMMAND_MODULES[command][0]
+    files = {"projects": SHIPPED_DATA / "projects.csv", "deflators": SHIPPED_DATA / "deflators.csv",
+             "benchmark": SHIPPED_DATA / "benchmark.json", "out": tmp_path / "out"}
+    file_flags = [text for key, path in files.items() for text in (flag[key], str(path))]
+    defaults = {key: str(_SETTINGS[key]["default"]) for key in _ANALYSIS}
+    code, stdout, _ = run(capsys, *argv, *file_flags)
+    assert code == 0
+    for key in sorted(_ANALYSIS - reads):
+        code, _, err = run(capsys, *argv, *file_flags, flag[key], defaults[key])
+        assert code == 1, key
+        assert f"No such option '{flag[key]}'" in err
+        # An unread config value is not parsed, even one no setting accepts.
+        unread = tmp_path / f"{key}.conf"
+        unread.write_text(f"{key} = nan\n")
+        assert run(capsys, *argv, *file_flags, "--config", str(unread))[:2] == (0, stdout), key
+    if "method" in reads:
+        code, _, err = run(capsys, *argv, *file_flags, "--method", "both")
+        assert code == (0 if command == "uplift" else 1), err
+
+    # Every key at its default (the file settings as the flags give them)
+    # changes nothing, whether the command reads the key or not.
+    config = tmp_path / "defaults.conf"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in {**files, **defaults}.items()))
+    assert run(capsys, *argv, "--config", str(config))[:2] == (0, stdout)
+
+
 def test_lazy_exports_resolve_to_their_modules():
     for name in refclass.__all__:
         module = import_module("refclass." + refclass._EXPORTS[name])
@@ -573,6 +637,18 @@ def test_data_errors_exit_2(table2_paths, tmp_path, capsys):
             assert code == 2, (command, column)
             assert err == (f"error: row 2, column {column!r}: "
                            "money amount exceeds 9007199254740992 in magnitude\n")
+
+    # A long cell that is no amount at all is echoed shortened.
+    j = rows[0].index("outturn_nominal")
+    garbled = [list(row) for row in rows]
+    garbled[1][j] = "9" * 400 + "x"
+    path = tmp_path / "garbled.csv"
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(garbled)
+    code, _, err = run(capsys, "check", "--projects", str(path))
+    assert code == 2
+    assert err == ("error: row 2, column 'outturn_nominal': invalid money amount "
+                   f"'{'9' * 40}'... (401 characters) (integer HKD thousands expected)\n")
 
 
 def test_empty_class_exits_3(table2_paths, tmp_path, capsys):
