@@ -32,13 +32,13 @@ _EXPORTS = {
         "NonMonotoneCurveError RecordConsistencyError RefclassError",
         "normalization": "OverrunObservation cost_overrun derive_all_observations "
         "derive_observations disbursement_profile schedule_overrun spread_outturn to_constant_prices",
-        "reference_class": "ClassFilter QuantileMethod ReferenceClass TrendShift "
+        "reference_class": "ClassFilter ReferenceClass TrendShift "
         "UpliftCurve build_class default_probability_grid empirical_quantile isotonic_adjust "
         "required_certainty smooth_curve trend_by_date uplift uplift_curve",
         "registry": "DEFAULT_ERA_CUTOFF DEFAULT_MIN_OUTTURN BenchmarkConstants DeflatorSeries "
-        "INTERNATIONAL_ROADS Metric ProjectRecord Stage StageEstimate Violation parse_benchmark_constants "
-        "parse_deflator_series parse_project_records parse_project_records_lenient stage_availability "
-        "validate_record write_project_records",
+        "INTERNATIONAL_ROADS Metric ProjectRecord QuantileMethod Stage StageEstimate Violation "
+        "parse_benchmark_constants parse_deflator_series parse_project_records "
+        "parse_project_records_lenient stage_availability validate_record write_project_records",
         "smoothing": "loess_smooth pool_adjacent_violators",
         "stats": "DescriptiveStats TestResult descriptive_stats mann_whitney_u proportion_test",
         "validation": "LoovRow LoovSummary leave_one_out loov_summary write_loov_csv",

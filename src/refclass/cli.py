@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Each command takes the settings it reads and the file settings. A setting
-can come from three places, in priority order: the command line flag, a
-flat key=value config file named by --config, then the built-in default.
-File outputs land under the --out directory and are byte-stable: the same
-inputs always produce the same bytes.
+Each command takes the settings it reads and the file settings; a file
+setting it does not read is accepted but never parsed. A setting can come
+from three places, in priority order: the command line flag, a flat
+key=value config file named by --config, then the built-in default.
+Either way its option type hands the command the value it uses (``--stage
+C`` is ``Stage.C``), and an error echoes at most 40 characters of a
+rejected value. File outputs land under the --out directory and are
+byte-stable: the same inputs always produce the same bytes.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 empty reference
 class, 4 non-monotone curve where monotonicity is required.
@@ -24,12 +27,31 @@ import click
 # imports the modules it runs, so no command loads another command's modules.
 from .errors import DataFormatError, EmptyClassError, NonMonotoneCurveError, RefclassError, shortened
 from .registry import DEFAULT_ERA_CUTOFF, DEFAULT_MIN_OUTTURN, DEFAULT_P_LEVELS, MAX_MONEY
+from .registry import Metric, QuantileMethod, Stage
 
 
-class _IsoDate(click.ParamType):
+class _OptionType(click.ParamType):
+    """How every option type rejects a value: in click's words while they
+    echo no more than ``shortened`` would, else as ``shortened(value)`` and
+    what the type ``expects``."""
+
+    def reject(self, value, param, ctx):
+        self.fail(f"{shortened(value)} is not {self.expects}", param, ctx)
+
+    def convert(self, value, param, ctx):
+        try:
+            return super().convert(value, param, ctx)
+        except click.BadParameter:
+            if shortened(value) == repr(value):
+                raise
+            self.reject(value, param, ctx)
+
+
+class _IsoDate(_OptionType):
     """A calendar date in ISO form, from a flag or a config file alike."""
 
     name = "date"
+    expects = "an ISO date"
 
     def convert(self, value, param, ctx):
         if isinstance(value, date):
@@ -37,11 +59,15 @@ class _IsoDate(click.ParamType):
         try:
             return date.fromisoformat(value)
         except ValueError:
-            self.fail(f"{shortened(value)} is not an ISO date", param, ctx)
+            self.reject(value, param, ctx)
 
 
-class _FloatRange(click.FloatRange):
+class _FloatRange(_OptionType, click.FloatRange):
     """A float range that also rejects NaN, which no bound comparison catches."""
+
+    @property
+    def expects(self) -> str:
+        return f"a number in the range {self._describe_range()}"
 
     def convert(self, value, param, ctx):
         value = super().convert(value, param, ctx)
@@ -50,16 +76,24 @@ class _FloatRange(click.FloatRange):
         return value
 
 
-class _IntRange(click.IntRange):
-    """An integer range whose error echoes the value shortened, however many
-    digits it has."""
+class _IntRange(_OptionType, click.IntRange):
+    @property
+    def expects(self) -> str:
+        return f"an integer in the range {self._describe_range()}"
+
+
+class _Choice(_OptionType, click.Choice):
+    """A choice of enum members, each by its token (the ``str`` the outputs
+    print), and of ``extra`` tokens; converted to the member or extra value."""
+
+    def __init__(self, members, case_sensitive: bool = True, **extra):
+        self.values = {str(member): member for member in members} | extra
+        super().__init__(list(self.values), case_sensitive)
+        self.expects = "one of " + ", ".join(map(repr, self.values))
 
     def convert(self, value, param, ctx):
-        try:
-            return super().convert(value, param, ctx)
-        except click.BadParameter:
-            low = "" if self.min is None else f"{self.min}<="
-            self.fail(f"{shortened(value)} is not an integer in the range {low}x<={self.max}", param, ctx)
+        # click.Choice returns the token as declared, whatever case was given.
+        return self.values[super().convert(value, param, ctx)]
 
 
 #: The settings, keyed by config-file key; each is also the option ``--<key>``
@@ -74,14 +108,14 @@ _SETTINGS: dict[str, dict] = {
                        help="Exclude projects whose Category C upgrade predates this ISO date."),
     "min_outturn": dict(type=_IntRange(max=MAX_MONEY), default=DEFAULT_MIN_OUTTURN,
                         help="Smallest outturn (HKD thousands) admitted to a class."),
-    "method": dict(type=click.Choice(["inf", "interp"], case_sensitive=False),
-                   default="interp", help="Quantile convention (default interp)."),
+    "method": dict(type=_Choice(QuantileMethod, case_sensitive=False),
+                   default=str(QuantileMethod.INTERPOLATED), help="Quantile convention (default interp)."),
     "span": dict(type=_FloatRange(0, 1, min_open=True), default=0.75,
                  help="Loess span fraction."),
     "degree": dict(type=_IntRange(1, 2), default=2, help="Loess degree."),
     "grid_step": dict(type=_FloatRange(0, 0.99, min_open=True), default=0.01,
                       help="Certainty grid step."),
-    "out": dict(type=click.Path(file_okay=False), default="out",
+    "out": dict(type=click.Path(file_okay=False), default="out", metavar="DIRECTORY",
                 help="Output directory (default ./out)."),
 }
 #: Every command takes these, so that one config file serves all commands.
@@ -159,14 +193,20 @@ def _parse_scheme(_ctx, _param, value):
 
 def _settings(*read: str, **overrides: dict):
     """Give a command ``--config`` and, as parameters, the settings it reads.
-    A file setting it does not read is accepted but not passed on; any other
-    is no option of the command. ``overrides`` replaces a setting's attributes."""
+    A file setting it does not read is accepted, with its help, but neither
+    parsed nor passed on; any other is no option of the command.
+    ``overrides`` replaces a setting's attributes."""
 
     def decorate(command):
         for key, attributes in reversed(_SETTINGS.items()):
-            if key in read or key in _FILE_SETTINGS:
-                attributes = {**attributes, "expose_value": key in read, **overrides.get(key, {})}
-                command = click.option("--" + key.replace("_", "-"), **attributes)(command)
+            if key in read:
+                attributes = {**attributes, **overrides.get(key, {})}
+            elif key in _FILE_SETTINGS:
+                attributes = dict(help=attributes["help"], metavar=attributes.get("metavar"),
+                                  expose_value=False)
+            else:
+                continue
+            command = click.option("--" + key.replace("_", "-"), **attributes)(command)
         # Eager, so the file is read before any setting looks up its default.
         return click.option("--config", is_eager=True, expose_value=False, callback=_read_config,
                             help="Flat key = value settings file.")(command)
@@ -174,12 +214,8 @@ def _settings(*read: str, **overrides: dict):
     return decorate
 
 
-_STAGE_OPTION = click.option(
-    "--stage", type=click.Choice(["C", "B", "A"]), required=True, help="Approval category."
-)
-_METRIC_OPTION = click.option(
-    "--metric", type=click.Choice(["cost", "schedule"]), required=True, help="Overrun metric."
-)
+_STAGE_OPTION = click.option("--stage", type=_Choice(Stage), required=True, help="Approval category.")
+_METRIC_OPTION = click.option("--metric", type=_Choice(Metric), required=True, help="Overrun metric.")
 _P_OPTION = click.option(
     "--p", "levels", type=str, default=None, callback=_parse_p_list,
     help=f"Comma-separated certainty levels (default {','.join(map(str, DEFAULT_P_LEVELS))}).",
@@ -216,19 +252,16 @@ def _observations(projects: str | None, deflators: str | None, era_cutoff: date)
     return records, derive_all_observations(records, series, era_cutoff)
 
 
-def _class_for(observations, stage: str, metric: str, min_outturn: int):
-    from .reference_class import ClassFilter, build_class
-    from .registry import Metric, Stage
+def _reference_class(projects, deflators, era_cutoff, stage, metric, min_outturn):
+    """The registry's class of ``stage`` and ``metric``, which must not be empty."""
 
-    target = ClassFilter(
-        stage=Stage.from_token(stage), metric=Metric.from_token(metric), min_outturn=min_outturn
-    )
-    reference = build_class(observations, target)
+    from .reference_class import ClassFilter, build_class
+
+    _, observations = _observations(projects, deflators, era_cutoff)
+    reference = build_class(observations, ClassFilter(stage=stage, metric=metric, min_outturn=min_outturn))
     if reference.is_empty:
-        raise EmptyClassError(
-            f"reference class is empty: stage {stage}, metric {metric}, "
-            f"min outturn {shortened(min_outturn)}"
-        )
+        raise EmptyClassError(f"reference class is empty: stage {stage}, metric {metric}, "
+                              f"min outturn {shortened(min_outturn)}")
     return reference
 
 
@@ -251,27 +284,34 @@ def _curve_grid(grid_step: float, degree: int, levels=(), option: str = "") -> t
     return grid
 
 
-def _emit(out: str, filename: str, text: str) -> None:
+def _smoothed_curve(reference, grid, method, span, degree, isotonic=True):
+    """``reference``'s uplift curve over ``grid``, loess-smoothed, then made monotone if ``isotonic``."""
+
+    from .reference_class import isotonic_adjust, smooth_curve, uplift_curve
+
+    curve = smooth_curve(uplift_curve(reference, grid, method), span=span, degree=degree)
+    return isotonic_adjust(curve) if isotonic else curve
+
+
+def _emit(out: str, filename: str, text: str, echo: bool = True) -> None:
+    """Write ``text`` to ``filename`` under ``out`` and, if ``echo``, to stdout."""
+
     directory = Path(out)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / filename).write_text(text, encoding="utf-8")
+    if echo:
+        click.echo(text, nl=False)
 
 
 @cli.command("overruns")
 @_settings("projects", "deflators", "era_cutoff", "out")
 @_STAGE_OPTION
 @_METRIC_OPTION
-def cmd_overruns(stage: str, metric: str, projects, deflators, era_cutoff, out) -> None:
+def cmd_overruns(stage: Stage, metric: Metric, projects, deflators, era_cutoff, out) -> None:
     """Normalized overrun observations for one stage and metric."""
 
-    from .registry import Metric, Stage
-
-    target_stage = Stage.from_token(stage)
-    target_metric = Metric.from_token(metric)
     _, observations = _observations(projects, deflators, era_cutoff)
-    selected = [
-        o for o in observations if o.stage is target_stage and o.metric is target_metric
-    ]
+    selected = [o for o in observations if o.stage is stage and o.metric is metric]
     buffer = io.StringIO()
     buffer.write("project,stage,metric,value,reference_date,pre_era,outturn_nominal\n")
     for o in selected:
@@ -279,39 +319,30 @@ def cmd_overruns(stage: str, metric: str, projects, deflators, era_cutoff, out) 
             f"{o.project_id},{o.stage},{o.metric},{o.value:.6f},"
             f"{o.reference_date.isoformat()},{'yes' if o.pre_era else 'no'},{o.outturn_nominal}\n"
         )
-    text = buffer.getvalue()
-    _emit(out, f"overruns_{stage}_{metric}.csv", text)
-    click.echo(text, nl=False)
+    _emit(out, f"overruns_{stage}_{metric}.csv", buffer.getvalue())
 
 
 @cli.command("uplift")
-@_settings(*_CURVE_SETTINGS, method=dict(type=click.Choice(["inf", "interp", "both"], case_sensitive=False)))
+@_settings(*_CURVE_SETTINGS, method=dict(type=_Choice(
+    QuantileMethod, case_sensitive=False, both=(QuantileMethod.INTERPOLATED, QuantileMethod.INF))))
 @_STAGE_OPTION
 @_METRIC_OPTION
 @_P_OPTION
 @click.option("--smooth", is_flag=True, help="Also report the smoothed, monotone uplift.")
-def cmd_uplift(stage: str, metric: str, levels, smooth: bool, projects, deflators, era_cutoff,
+def cmd_uplift(stage: Stage, metric: Metric, levels, smooth: bool, projects, deflators, era_cutoff,
                min_outturn, method, span, degree, grid_step, out) -> None:
     """Required uplifts at chosen certainty levels."""
 
     from .formatting import certainty_text
-    from .reference_class import (
-        QuantileMethod, isotonic_adjust, smooth_curve, uplift as class_uplift, uplift_curve,
-    )
+    from .reference_class import uplift as class_uplift
 
+    methods = method if isinstance(method, tuple) else (method,)
     grid = _curve_grid(grid_step, degree, levels, "--p") if smooth else None
-    _, observations = _observations(projects, deflators, era_cutoff)
-    reference = _class_for(observations, stage, metric, min_outturn)
-
-    both = [QuantileMethod.INTERPOLATED, QuantileMethod.INF]
-    methods = both if method == "both" else [QuantileMethod.from_token(method)]
-    smoothed_curve = None
-    if smooth:
-        raw = uplift_curve(reference, grid, methods[0])
-        smoothed_curve = isotonic_adjust(smooth_curve(raw, span=span, degree=degree))
+    reference = _reference_class(projects, deflators, era_cutoff, stage, metric, min_outturn)
+    smoothed_curve = _smoothed_curve(reference, grid, methods[0], span, degree) if smooth else None
 
     buffer = io.StringIO()
-    header = ["p"] + [f"uplift_{m.value}" for m in methods]
+    header = ["p"] + [f"uplift_{m}" for m in methods]
     if smoothed_curve is not None:
         header.append("uplift_smoothed")
     buffer.write(",".join(header) + "\n")
@@ -320,9 +351,7 @@ def cmd_uplift(stage: str, metric: str, levels, smooth: bool, projects, deflator
         if smoothed_curve is not None:
             cells.append(f"{smoothed_curve.value_at(p):.6f}")
         buffer.write(",".join(cells) + "\n")
-    text = buffer.getvalue()
-    _emit(out, f"uplift_{stage}_{metric}.csv", text)
-    click.echo(text, nl=False)
+    _emit(out, f"uplift_{stage}_{metric}.csv", buffer.getvalue())
 
 
 @cli.command("validate")
@@ -330,23 +359,18 @@ def cmd_uplift(stage: str, metric: str, levels, smooth: bool, projects, deflator
 @_STAGE_OPTION
 @_METRIC_OPTION
 @_P_OPTION
-def cmd_validate(stage: str, metric: str, levels, projects, deflators, era_cutoff, min_outturn,
-                 method, out) -> None:
+def cmd_validate(stage: Stage, metric: Metric, levels, projects, deflators, era_cutoff, min_outturn,
+                 method: QuantileMethod, out) -> None:
     """Leave-one-out check: would the uplift have covered each project?"""
 
     from .formatting import certainty_percent, round_half_away
-    from .reference_class import QuantileMethod
     from .validation import leave_one_out, loov_summary, write_loov_csv
 
-    _, observations = _observations(projects, deflators, era_cutoff)
-    reference = _class_for(observations, stage, metric, min_outturn)
-
-    rows = leave_one_out(reference, levels, QuantileMethod.from_token(method))
+    reference = _reference_class(projects, deflators, era_cutoff, stage, metric, min_outturn)
+    rows = leave_one_out(reference, levels, method)
     buffer = io.StringIO()
     write_loov_csv(rows, buffer)
-    text = buffer.getvalue()
-    _emit(out, f"loov_{stage}_{metric}.csv", text)
-    click.echo(text, nl=False)
+    _emit(out, f"loov_{stage}_{metric}.csv", buffer.getvalue())
     for p in sorted(set(levels)):
         summary = loov_summary(rows, p)
         click.echo(
@@ -365,7 +389,7 @@ def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, m
 
     from .benchmarking import benchmark_report, phase_breakdown, write_benchmark_csv, write_benchmark_json
     from .reference_class import ClassFilter, build_class
-    from .registry import Metric, Stage, parse_benchmark_constants
+    from .registry import parse_benchmark_constants
 
     records, observations = _observations(projects, deflators, era_cutoff)
 
@@ -406,39 +430,32 @@ def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, m
     write_benchmark_csv(report, csv_buffer)
     json_buffer = io.StringIO()
     write_benchmark_json(report, json_buffer)
+    _emit(out, "benchmark.json", json_buffer.getvalue(), echo=False)
     _emit(out, "benchmark.csv", csv_buffer.getvalue())
-    _emit(out, "benchmark.json", json_buffer.getvalue())
-    click.echo(csv_buffer.getvalue(), nl=False)
 
 
 @cli.command("curve")
 @_settings(*_CURVE_SETTINGS)
 @_STAGE_OPTION
 @_METRIC_OPTION
-def cmd_curve(stage: str, metric: str, projects, deflators, era_cutoff, min_outturn, method, span,
-              degree, grid_step, out) -> None:
+def cmd_curve(stage: Stage, metric: Metric, projects, deflators, era_cutoff, min_outturn,
+              method: QuantileMethod, span, degree, grid_step, out) -> None:
     """Full uplift curve: raw quantiles, smoothed fit, confidence band."""
 
     from .formatting import certainty_text
     from .plot import curve_svg
-    from .reference_class import QuantileMethod, isotonic_adjust, smooth_curve, uplift_curve
 
     grid = _curve_grid(grid_step, degree)
-    _, observations = _observations(projects, deflators, era_cutoff)
-    reference = _class_for(observations, stage, metric, min_outturn)
-
-    raw = uplift_curve(reference, grid, QuantileMethod.from_token(method))
-    smoothed = isotonic_adjust(smooth_curve(raw, span=span, degree=degree))
+    reference = _reference_class(projects, deflators, era_cutoff, stage, metric, min_outturn)
+    smoothed = _smoothed_curve(reference, grid, method, span, degree)
 
     buffer = io.StringIO()
     buffer.write("p,uplift_raw,uplift_smoothed,ci_low,ci_high\n")
     for (p, raw_value), (_, fit, lo, hi) in zip(smoothed.points, smoothed.smoothed):
         buffer.write(f"{certainty_text(p)},{raw_value:.6f},{fit:.6f},{lo:.6f},{hi:.6f}\n")
-    text = buffer.getvalue()
-    _emit(out, f"curve_{stage}_{metric}.csv", text)
     svg = curve_svg(smoothed, markers=(0.5, 0.8), title=f"uplift curve: Category {stage}, {metric}")
-    _emit(out, f"curve_{stage}_{metric}.svg", svg)
-    click.echo(text, nl=False)
+    _emit(out, f"curve_{stage}_{metric}.svg", svg, echo=False)
+    _emit(out, f"curve_{stage}_{metric}.csv", buffer.getvalue())
 
 
 @cli.command("tiers")
@@ -451,30 +468,22 @@ def cmd_curve(stage: str, metric: str, projects, deflators, era_cutoff, min_outt
               help="Tiers as name:certainty,... (default contract:0.55,project:0.60,portfolio:0.80).")
 @click.option("--no-isotonic", is_flag=True,
               help="Skip the monotone adjustment of the smoothed curve (may fail with exit 4).")
-def cmd_tiers(stage: str, metric: str, base: int, scheme, no_isotonic: bool, projects, deflators,
-              era_cutoff, min_outturn, method, span, degree, grid_step, out) -> None:
+def cmd_tiers(stage: Stage, metric: Metric, base: int, scheme, no_isotonic: bool, projects, deflators,
+              era_cutoff, min_outturn, method: QuantileMethod, span, degree, grid_step, out) -> None:
     """Tiered contingency allocation along the smoothed uplift curve."""
 
     from .contingency import DEFAULT_TIER_SCHEME, tier_allocation, write_allocation_json
-    from .reference_class import QuantileMethod, isotonic_adjust, smooth_curve, uplift_curve
 
     tier_scheme = scheme if scheme is not None else DEFAULT_TIER_SCHEME
     grid = _curve_grid(
         grid_step, degree, [certainty for _, certainty in tier_scheme.tiers], "--scheme"
     )
-    _, observations = _observations(projects, deflators, era_cutoff)
-    reference = _class_for(observations, stage, metric, min_outturn)
-
-    raw = uplift_curve(reference, grid, QuantileMethod.from_token(method))
-    curve = smooth_curve(raw, span=span, degree=degree)
-    if not no_isotonic:
-        curve = isotonic_adjust(curve)
+    reference = _reference_class(projects, deflators, era_cutoff, stage, metric, min_outturn)
+    curve = _smoothed_curve(reference, grid, method, span, degree, isotonic=not no_isotonic)
 
     buffer = io.StringIO()
     write_allocation_json(tier_allocation(base, curve, tier_scheme), buffer)
-    text = buffer.getvalue()
-    _emit(out, f"tiers_{stage}_{metric}.json", text)
-    click.echo(text, nl=False)
+    _emit(out, f"tiers_{stage}_{metric}.json", buffer.getvalue())
 
 
 @cli.command("check")

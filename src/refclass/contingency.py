@@ -13,6 +13,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import IO, Sequence
 
+from .errors import shortened
 from .formatting import round_half_away
 from .reference_class import QuantileMethod, ReferenceClass, UpliftCurve, require_monotone, uplift
 
@@ -32,9 +33,9 @@ class TierScheme:
             if not name:
                 raise ValueError("tier names must be non-empty")
             if not 0.0 < certainty <= 1.0:
-                raise ValueError(f"tier {name!r}: certainty must lie in (0, 1], got {certainty}")
+                raise ValueError(f"tier {shortened(name)}: certainty must lie in (0, 1], got {certainty}")
             if certainty <= previous:
-                raise ValueError(f"tier {name!r}: certainties must be strictly increasing")
+                raise ValueError(f"tier {shortened(name)}: certainties must be strictly increasing")
             previous = certainty
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Mapping, Sequence
 
+from .errors import DataFormatError
 from .registry import (
     DEFAULT_ERA_CUTOFF,
     DeflatorSeries,
@@ -198,8 +199,16 @@ def derive_observations(
         if has_cost_data(record, stage):
             if yearly is None:
                 yearly = _yearly_spending(record)
-            outturn_constant = to_constant_prices(yearly, deflators, est.price_level_year)
+            try:
+                outturn_constant = to_constant_prices(yearly, deflators, est.price_level_year)
+            except OverflowError:  # math.fsum's, when finite terms sum past the float range
+                outturn_constant = math.inf
             value = cost_overrun(outturn_constant, float(est.base))
+            if not math.isfinite(value):
+                raise DataFormatError(
+                    f"project {record.id}, stage {stage}: the cost overrun overflows to {value} "
+                    "(deflator index ratios too large)"
+                )
             observations.append(
                 OverrunObservation(
                     project_id=record.id,

@@ -9,12 +9,12 @@ Two quantile conventions are supported. ``inf`` takes the smallest sample
 value whose empirical distribution function reaches p, so the answer is
 always an observed outcome. ``interp`` interpolates linearly between order
 statistics (rank position h = (n - 1) p + 1), which is the default because
-published uplift tables round to it.
+published uplift tables round to it. ``QuantileMethod`` (from ``registry``)
+names them.
 """
 
 from __future__ import annotations
 
-import enum
 import logging
 import math
 from bisect import bisect_left
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import EmptyClassError, InsufficientDataError, NonMonotoneCurveError
 from .normalization import OverrunObservation
-from .registry import DEFAULT_ERA_CUTOFF, DEFAULT_MIN_OUTTURN, Metric, Stage
+from .registry import DEFAULT_ERA_CUTOFF, DEFAULT_MIN_OUTTURN, Metric, QuantileMethod, Stage
 from .stats import TestResult, mann_whitney_u
 
 # The loess fit and the isotonic repair import .smoothing, and numpy with
@@ -33,21 +33,6 @@ from .stats import TestResult, mann_whitney_u
 logger = logging.getLogger(__name__)
 
 _GRID_EPS = 1e-9
-
-
-class QuantileMethod(enum.Enum):
-    INF = "inf"
-    INTERPOLATED = "interp"
-
-    @classmethod
-    def from_token(cls, token: str) -> "QuantileMethod":
-        try:
-            return cls(token.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown quantile method {token!r}, expected inf or interp") from None
-
-    def __str__(self) -> str:
-        return self.value
 
 
 def rank_position(n: int, p: float, method: QuantileMethod) -> tuple[int, float]:

@@ -7,6 +7,9 @@ Three file-backed inputs feed the toolkit:
 * ``deflators.csv`` -- a contiguous year -> price-index series.
 * ``benchmark.json`` -- published summary constants for external comparison.
 
+The enums the command line offers as choices live here too, so its options
+are built without loading an analysis module.
+
 Money is carried as integer thousands of HKD exactly as ingested; fractional
 money appears only in derived figures downstream.
 """
@@ -59,13 +62,6 @@ class Stage(enum.IntEnum):
     B = 1
     A = 2
 
-    @classmethod
-    def from_token(cls, token: str) -> "Stage":
-        try:
-            return cls[token.strip().upper()]
-        except KeyError:
-            raise ValueError(f"unknown stage {token!r}, expected C, B or A") from None
-
     def __str__(self) -> str:
         return self.name
 
@@ -74,12 +70,20 @@ class Metric(enum.Enum):
     COST = "cost"
     SCHEDULE = "schedule"
 
+    def __str__(self) -> str:
+        return self.value
+
+
+class QuantileMethod(enum.Enum):
+    INF = "inf"
+    INTERPOLATED = "interp"
+
     @classmethod
-    def from_token(cls, token: str) -> "Metric":
+    def from_token(cls, token: str) -> "QuantileMethod":
         try:
             return cls(token.strip().lower())
         except ValueError:
-            raise ValueError(f"unknown metric {token!r}, expected cost or schedule") from None
+            raise ValueError(f"unknown quantile method {token!r}, expected inf or interp") from None
 
     def __str__(self) -> str:
         return self.value
@@ -171,11 +175,16 @@ class DeflatorSeries:
         if not years[0] <= base_year <= years[-1]:
             raise DataFormatError(f"base year {base_year} outside series {years[0]}-{years[-1]}")
         base_value = dict(items)[base_year]
-        return cls(
-            base_year=base_year,
-            start_year=years[0],
-            values=tuple(value / base_value for _, value in items),
-        )
+        values = tuple(value / base_value for _, value in items)
+        for year, value in zip(years, values):
+            # Both indexes are positive and finite, but their ratio can
+            # underflow to 0 or overflow to inf.
+            if not 0 < value < math.inf:
+                raise DataFormatError(
+                    f"deflator index for {year} over base year {base_year} must be a positive "
+                    f"finite ratio, got {value}"
+                )
+        return cls(base_year=base_year, start_year=years[0], values=values)
 
     def covers(self, year: int) -> bool:
         return self.start_year <= year < self.start_year + len(self.values)

@@ -5,7 +5,7 @@ every input x. Point i's window holds the ceil(span * n) points nearest to
 it, never fewer than degree + 2; at the window's edge distance, tied points
 are taken lowest index (in ascending x order) first, so with repeated x a
 window can skip part of a tie block. Because x is sorted, a two-pointer
-scan finds every window in one pass.
+scan finds every window in one pass. x and y must be finite.
 
 The fit at each point is a linear map of the responses: its hat vector
 h_j = w_j * sum_k c_k t_j^k, where t = (x - x_i) / d_max scales the window
@@ -17,7 +17,11 @@ w y up to t^degree. They are computed for blocks of points at a time in
 work arrays allocated once per fit, each window read as one strided row of
 the sorted x (and y); no n x n matrix is formed, so memory stays linear in
 n. Every sum is taken in the same order whatever the block, so the fits do
-not depend on the block size.
+not depend on the block size. Where the window skips part of a tie block at
+its edge distance, the row holds the ties next to the nearer points rather
+than the lowest-index ones the window takes. Either way they sit at t = -1
+with weight exactly 0, so for finite y they change no sum, except that a
+fit of exactly zero may change its sign (0 * y is -0.0 for negative y).
 
 Points with equal x (reference dates repeat) have the same distances to
 every point, so the same window, local system and fit: the power sums are
@@ -96,6 +100,8 @@ def loess_smooth(
     order = sorted(range(n), key=lambda i: (points[i][0], i))
     x = np.array([points[i][0] for i in order], dtype=float)
     y = np.array([points[i][1] for i in order], dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("loess needs finite x and y")
 
     window_size = min(n, max(math.ceil(span * n), degree + 2))
     if n <= _DIRECT_MAX_POINTS:
@@ -110,8 +116,8 @@ def loess_smooth(
         # Tied x share their window and fit: solve each run's first point.
         heads = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
         run_lengths = np.diff(np.r_[heads, n])
-        bounds, reach = _windows(x.tolist(), heads.tolist(), window_size)
-        per_head = _power_sum_fits(x, y, heads, bounds, reach, window_size, degree)
+        starts, reach = _windows(x.tolist(), heads.tolist(), window_size)
+        per_head = _power_sum_fits(x, y, heads, starts, reach, window_size, degree)
         fits, hat_diagonal, hat_row_ss, solved = (np.repeat(a, run_lengths) for a in per_head)
         for i in np.flatnonzero(~solved):
             fits[i], window, hat_row = _direct_fit(x, y, i, window_size, degree)
@@ -130,18 +136,18 @@ def _power_sum_fits(
     x: np.ndarray,
     y: np.ndarray,
     rows: np.ndarray,
-    bounds: np.ndarray,
+    starts: np.ndarray,
     reach: np.ndarray,
     size: int,
     degree: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fit, hat diagonal and hat-row sum of squares at the points ``rows``
-    (with their windows' ``bounds`` and ``reach``) from the windows'
+    (with their windows' ``starts`` and ``reach``) from the windows'
     weighted power sums, plus a mask of the rows this solved; the rest have
     singular or ill-conditioned local systems."""
 
     n = len(rows)
-    sums = _power_sums(x, y, rows, bounds, reach, size, degree)
+    sums = _power_sums(x, y, rows, starts, reach, size, degree)
     pairs = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
     system = sums[0][:, pairs]
     eigenvalues = np.linalg.eigvalsh(system)
@@ -161,7 +167,7 @@ def _power_sums(
     x: np.ndarray,
     y: np.ndarray,
     rows: np.ndarray,
-    bounds: np.ndarray,
+    starts: np.ndarray,
     reach: np.ndarray,
     size: int,
     degree: int,
@@ -181,8 +187,8 @@ def _power_sums(
     for start in range(0, len(rows), block):
         stop = min(len(rows), start + block)
         t, terms = (buffer[..., : stop - start, :] for buffer in buffers)
-        part = bounds[:, start:stop]
-        np.subtract(_window_rows(x_windows, part), x[rows[start:stop], None], out=t)
+        part = starts[start:stop]
+        np.subtract(x_windows[part], x[rows[start:stop], None], out=t)
         t /= scale[start:stop, None]
         # Tricube weights; |t| <= 1 inside the window, so none is negative.
         weights = terms[0]
@@ -194,7 +200,7 @@ def _power_sums(
         np.multiply(weights, weights, out=terms[1])
         weights *= terms[1]
         np.multiply(weights, weights, out=terms[1])
-        np.multiply(_window_rows(y_windows, part), weights, out=terms[2])
+        np.multiply(y_windows[part], weights, out=terms[2])
         for k in range(2 * degree + 1):
             # The fits read w y t^k only up to k = degree.
             live = terms[: 3 if k <= degree else 2]
@@ -204,36 +210,24 @@ def _power_sums(
     return sums
 
 
-def _window_rows(windows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """The values of each window of ``bounds`` as one row, read from
-    ``windows``, the sliding windows of the sorted values. A window is the
-    row at second - count; where its two pieces do not meet (ties cut at its
-    edge), its first count entries are rewritten from the row at first,
-    which lies to the left (first <= second - count)."""
-
-    first, count, second = bounds
-    lead = second - count
-    rows = windows[lead]
-    for r in np.flatnonzero(first != lead):
-        rows[r, : count[r]] = windows[first[r], : count[r]]
-    return rows
-
-
 def _windows(
     x: list[float], rows: Iterable[int], size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The window of each point in ``rows`` (ascending) over ascending ``x``.
 
-    Returns bounds, rows (first, count, second) naming the indices [first,
-    first + count) and [second, second + size - count), and reach, the
-    largest distance in each window. The window is the ``size`` points
-    nearest x_i, ties at distance reach taken lowest index first. Distances
-    are always |x_j - x_i| as computed, never compared through x_i - reach,
-    which would round differently.
+    The window is the ``size`` points nearest x_i, ties at distance reach
+    taken lowest index first. Returns starts, the first index of each
+    window's row [start, start + size) of x, and reach, the largest
+    distance in each window. The row holds the window's points, except that
+    where the window skips part of a tie block on the left, it holds the
+    ties next to the nearer points instead of the lowest-index ones; the
+    nearer points sit at the same offsets either way. Distances are always
+    |x_j - x_i| as computed, never compared through x_i - reach, which
+    would round differently.
     """
 
     n = len(x)
-    bounds: list[tuple[int, int, int]] = []
+    starts: list[int] = []
     reach: list[float] = []
     lo = 0
     for i in rows:
@@ -246,12 +240,12 @@ def _windows(
         reach.append(d)
         if d == 0.0:
             # Every point at distance 0 shares x_i; take the first of them.
-            first = bisect_left(x, xi)
-            bounds.append((first, 0, first))
+            starts.append(bisect_left(x, xi))
             continue
         # Points nearer than d form [near, far]; those at d lie just outside
-        # it, from index edge on the left. Equal x share a distance, so each
-        # step skips a whole run of equal x.
+        # it, from index edge on the left, and the window takes as many of
+        # them as it can before near. Equal x share a distance, so each step
+        # skips a whole run of equal x.
         near = lo
         while abs(x[near] - xi) >= d:
             near = bisect_right(x, x[near])
@@ -261,8 +255,8 @@ def _windows(
         edge = lo
         while edge > 0 and abs(x[edge - 1] - xi) <= d:
             edge = bisect_left(x, x[edge - 1])
-        bounds.append((edge, min(size - (far - near + 1), near - edge), near))
-    return np.array(bounds, dtype=np.intp).T, np.array(reach)
+        starts.append(near - min(size - (far - near + 1), near - edge))
+    return np.array(starts, dtype=np.intp), np.array(reach)
 
 
 def _direct_fit(

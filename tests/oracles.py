@@ -84,18 +84,6 @@ def loess_windows(x: Sequence[float], window_size: int) -> list[frozenset[int]]:
     ]
 
 
-def window_index(bounds: np.ndarray, size: int) -> np.ndarray:
-    """The window indices, one row per column of ``bounds`` (first, count,
-    second), written row by row: [first, first + count) then the rest from
-    second."""
-
-    first, count, second = bounds
-    index = np.add((second - count)[:, None], np.arange(size))
-    for b in np.flatnonzero(count):
-        index[b, : count[b]] = np.arange(first[b], first[b] + count[b])
-    return index
-
-
 def loess_smooth(
     points: Sequence[tuple[float, float]],
     span: float = 0.75,
@@ -152,21 +140,24 @@ def loess_smooth_per_point(
     degree: int = 2,
 ) -> list[tuple[float, float, float, float]]:
     """The power-sum loess with one window and one local solve per point,
-    tied x included, and fresh block temporaries; windows the power sums
-    cannot solve go through ``smoothing._direct_fit`` as in the package."""
+    tied x included, and fresh block temporaries; each window is gathered by
+    a stable argsort of the distances (``loess_windows``), in index order.
+    Windows the power sums cannot solve go through ``smoothing._direct_fit``
+    as in the package."""
 
     order = sorted(range(len(points)), key=lambda i: (points[i][0], i))
     x = np.array([points[i][0] for i in order], dtype=float)
     y = np.array([points[i][1] for i in order], dtype=float)
     n = len(x)
     size = min(n, max(math.ceil(span * n), degree + 2))
-    bounds, reach = smoothing._windows(x.tolist(), range(n), size)
+    windows = np.array([sorted(window) for window in loess_windows(x, size)])
+    reach = np.abs(x[windows] - x[:, None]).max(axis=1)
 
     sums = np.empty((3, n, 2 * degree + 1))
     block = max(1, smoothing._BLOCK_ENTRIES // size)
     for start in range(0, n, block):
         rows = np.arange(start, min(n, start + block))
-        index = window_index(bounds[:, rows], size)
+        index = windows[rows]
         t = (x[index] - x[rows, None]) / np.where(reach[rows] > 0.0, reach[rows], 1.0)[:, None]
         weights = 1.0 - np.abs(t * t * t)
         weights *= weights * weights

@@ -319,8 +319,12 @@ def test_usage_errors_exit_1(table2_paths, tmp_path, capsys):
         ["uplift", "--min-outturn", str(2**53 + 1)],
         ["uplift", "--era-cutoff", "9" * 400],
         ["uplift", "--p", "9" * 400 + "x"],
+        ["tiers", "--base", "100", "--scheme", "b:0.5," + "x" * 400 + ":0.4"],
+        *([command, flag, "x" * 400] for command in ("uplift", "curve")
+          for flag in ("--span", "--grid-step", "--degree", "--stage", "--metric", "--method")),
     ):
-        code, _, err = run(capsys, *bad, *args, "--stage", "C", "--metric", "cost")
+        # The bad value comes last, so that it wins over --stage C and --metric cost.
+        code, _, err = run(capsys, bad[0], *args, "--stage", "C", "--metric", "cost", *bad[1:])
         assert code == 1, bad
         assert "Traceback" not in err
         assert "Error:" in err
@@ -511,6 +515,14 @@ def test_each_command_takes_only_the_settings_it_reads(command, tmp_path, capsys
         unread = tmp_path / f"{key}.conf"
         unread.write_text(f"{key} = nan\n")
         assert run(capsys, *argv, *file_flags, "--config", str(unread))[:2] == (0, stdout), key
+    if "out" not in reads:
+        # An unread file setting is not parsed either: an existing file is no
+        # output directory, but a command that writes nothing takes it.
+        inputs = [text for key, path in files.items() if key != "out" for text in (flag[key], str(path))]
+        out_conf = tmp_path / "out.conf"
+        out_conf.write_text(f"out = {files['projects']}\n")
+        for given in ([flag["out"], str(files["projects"])], ["--config", str(out_conf)]):
+            assert run(capsys, *argv, *inputs, *given)[:2] == (0, stdout), given
     if "method" in reads:
         code, _, err = run(capsys, *argv, *file_flags, "--method", "both")
         assert code == (0 if command == "uplift" else 1), err
@@ -594,6 +606,30 @@ def test_data_errors_exit_2(table2_paths, tmp_path, capsys):
             code, _, err = run(capsys, command, *files, *extra)
             assert code == 2, (command, year)
             assert err == f"error: deflator index for {year} must be a positive finite number, got inf\n"
+
+    # The shipped series with indexes whose ratios no float holds: one
+    # underflows to 0, one overflows to inf, or every index is finite but an
+    # outturn's conversion overflows (check reads only the series).
+    shipped = [line.split(",") for line in (SHIPPED_DATA / "deflators.csv").read_text().splitlines()]
+    too_wide = "deflator index for 1987 over base year 1986 must be a positive finite ratio, got"
+    for index, message, check_code in [
+        (lambda year: 1e300 if year == 1986 else 1e-300, f"{too_wide} 0.0", 2),
+        (lambda year: 1e-300 if year == 1986 else 1e300, f"{too_wide} inf", 2),
+        (lambda year: 1e300 if 1989 <= year <= 1993 else 1e-8,
+         "project 6801, stage C: the cost overrun overflows to inf (deflator index ratios too large)", 0),
+    ]:
+        wide = tmp_path / "wide.csv"
+        wide.write_text("year,index\n" + "".join(f"{year},{index(int(year))}\n" for year, _ in shipped[1:]))
+        files = ["--projects", str(SHIPPED_DATA / "projects.csv"), "--deflators", str(wide),
+                 "--out", str(tmp_path / "out")]
+        for command in (["uplift", *_CLASS, "--p", "0.5,1.0"], ["overruns", *_CLASS], ["validate", *_CLASS],
+                        ["curve", *_CLASS], ["tiers", *_CLASS, "--base", "1000", "--scheme", "a:0.5,b:1.0"],
+                        ["benchmark"], ["check"]):
+            code, _, err = run(capsys, *command, *files)
+            if command == ["check"] and check_code == 0:
+                assert (code, err) == (0, ""), message
+            else:
+                assert (code, err) == (2, f"error: {message}\n"), (command, message)
 
     # Non-finite benchmark constants, values of the wrong JSON kind, and a
     # range error that names its label once.

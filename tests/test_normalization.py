@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 from datetime import date
@@ -5,7 +6,7 @@ from datetime import date
 import pytest
 from hypothesis import given, strategies as st
 
-from refclass.errors import DeflatorCoverageError
+from refclass.errors import DataFormatError, DeflatorCoverageError
 from refclass.normalization import (
     DISBURSEMENT_PROFILE_PERCENTS,
     cost_overrun,
@@ -242,6 +243,21 @@ def test_derive_flat_deflators_gives_plain_ratio():
     assert cost[0].value == pytest.approx(0.13)
     assert cost[0].reference_date == date(2000, 1, 1)
     assert not cost[0].pre_era
+
+
+@pytest.mark.parametrize(
+    "disbursements",
+    [
+        {2001: 10**9},  # 1e9 / 1e-300 overflows to inf
+        {2001: 10**8, 2002: 10**8},  # two finite terms of 1e308 sum past the float range
+    ],
+)
+def test_derive_rejects_a_cost_overrun_no_float_holds(disbursements):
+    series = DeflatorSeries.from_pairs([(2000, 1.0), (2001, 1e-300), (2002, 1e-300)])
+    record = _record_single_stage(Stage.B, outturn=sum(disbursements.values()))
+    record = dataclasses.replace(record, disbursements=disbursements)
+    with pytest.raises(DataFormatError, match="^project n1, stage B: the cost overrun overflows to inf"):
+        derive_observations(record, series)
 
 
 def test_derive_marks_pre_era():

@@ -206,6 +206,15 @@ def test_deflators_ratio():
     assert series.index(1991) == pytest.approx(1.10)
 
 
+@pytest.mark.parametrize(
+    "indexes, got",
+    [((1e300, 1e-300), "0.0"), ((1e-300, 1e300), "inf")],  # the ratio under- and overflows
+)
+def test_deflators_reject_a_ratio_no_float_holds(indexes, got):
+    with pytest.raises(DataFormatError, match=f"^deflator index for 1991 over base year 1990 .* got {got}$"):
+        parse_deflator_series(io.StringIO("year,index\n1990,{}\n1991,{}\n".format(*indexes)))
+
+
 def test_deflators_gap_rejected():
     text = "year,index\n1990,100\n1991,101\n1993,103\n"
     with pytest.raises(DataFormatError, match="1992"):

@@ -69,6 +69,16 @@ def test_loess_output_sorted_regardless_of_input_order():
     assert [x for x, *_ in result] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_loess_rejects_non_finite_points(bad, axis):
+    # Unchecked, one inf y makes every band NaN: 0 weight times inf is NaN.
+    points = [(float(i), float(i % 3)) for i in range(200)]
+    points[50] = (bad, 1.0) if axis == 0 else (50.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        loess_smooth(points, span=0.3)
+
+
 def test_loess_parameter_validation():
     from refclass.errors import InsufficientDataError
 
@@ -99,28 +109,28 @@ spans = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 degrees = st.sampled_from([1, 2])
 
 
-def window_rows(values, bounds, size):
-    return smoothing._window_rows(np.lib.stride_tricks.sliding_window_view(values, size), bounds)
-
-
 @given(points=tied_points, span=spans, degree=degrees)
 def test_loess_windows_match_stable_argsort(points, span, degree):
-    x = sorted(px for px, _ in points)
+    x = np.array(sorted(px for px, _ in points))
     size = min(len(x), max(math.ceil(span * len(x)), degree + 2))
     expected = oracles.loess_windows(x, size)
-    bounds, _ = smoothing._windows(x, range(len(x)), size)
-    index = oracles.window_index(bounds, size)
-    assert [frozenset(row.tolist()) for row in index] == expected
-    # The strided rows, split windows rewritten, read the same values in the
-    # same order as gathering through the index (the positions themselves
-    # are the values of an arange).
-    assert np.array_equal(window_rows(np.array(x), bounds, size), np.array(x)[index])
-    assert np.array_equal(window_rows(np.arange(len(x)), bounds, size), index)
-    # Scanning only the first point of each run of equal x finds the same windows.
     heads = [i for i in range(len(x)) if i == 0 or x[i] != x[i - 1]]
-    bounds, _ = smoothing._windows(x, heads, size)
-    windows = [frozenset(row.tolist()) for row in window_rows(np.arange(len(x)), bounds, size)]
-    assert windows == [expected[i] for i in heads]
+    # Every point's row, and the rows of only the first point of each run of
+    # equal x, hold the points of its window nearer than the reach, at the
+    # same offsets, and fill the rest of the row with points at the reach
+    # (so as many as the window has), which carry weight 0.
+    for rows in (range(len(x)), heads):
+        starts, reach = smoothing._windows(x.tolist(), rows, size)
+        for i, start, d in zip(rows, starts, reach):
+            distance = np.abs(x - x[i])
+            window = sorted(expected[i])
+            row = range(start, start + size)
+            assert 0 <= start and start + size <= len(x)
+            assert d == distance[window].max()
+            assert [(k, j) for k, j in enumerate(row) if distance[j] < d] == [
+                (k, j) for k, j in enumerate(window) if distance[j] < d
+            ]
+            assert all(distance[j] == d for j in row if not distance[j] < d)
 
 
 @given(points=tied_points, span=spans, degree=degrees)
