@@ -31,8 +31,7 @@ from .registry import Metric, QuantileMethod, Stage
 
 
 class _OptionType(click.ParamType):
-    """How every option type rejects a value: in click's words while they
-    echo no more than ``shortened`` would, else as ``shortened(value)`` and
+    """How every option type rejects a value: as ``shortened(value)`` and
     what the type ``expects``."""
 
     def reject(self, value, param, ctx):
@@ -42,8 +41,6 @@ class _OptionType(click.ParamType):
         try:
             return super().convert(value, param, ctx)
         except click.BadParameter:
-            if shortened(value) == repr(value):
-                raise
             self.reject(value, param, ctx)
 
 
@@ -62,24 +59,30 @@ class _IsoDate(_OptionType):
             self.reject(value, param, ctx)
 
 
-class _FloatRange(_OptionType, click.FloatRange):
-    """A float range that also rejects NaN, which no bound comparison catches."""
+class _Range(_OptionType):
+    """A number range, which expects ``kind`` between its bounds."""
 
     @property
     def expects(self) -> str:
-        return f"a number in the range {self._describe_range()}"
+        low = "" if self.min is None else f"{self.min}{'<' if self.min_open else '<='}"
+        high = "" if self.max is None else f"{'<' if self.max_open else '<='}{self.max}"
+        return f"{self.kind} in the range {low}x{high}"
+
+
+class _FloatRange(_Range, click.FloatRange):
+    """A float range that also rejects NaN, which no bound comparison catches."""
+
+    kind = "a number"
 
     def convert(self, value, param, ctx):
         value = super().convert(value, param, ctx)
         if math.isnan(value):
-            self.fail(f"{value} is not a number", param, ctx)
+            self.reject(value, param, ctx)
         return value
 
 
-class _IntRange(_OptionType, click.IntRange):
-    @property
-    def expects(self) -> str:
-        return f"an integer in the range {self._describe_range()}"
+class _IntRange(_Range, click.IntRange):
+    kind = "an integer"
 
 
 class _Choice(_OptionType, click.Choice):
@@ -89,7 +92,7 @@ class _Choice(_OptionType, click.Choice):
     def __init__(self, members, case_sensitive: bool = True, **extra):
         self.values = {str(member): member for member in members} | extra
         super().__init__(list(self.values), case_sensitive)
-        self.expects = "one of " + ", ".join(map(repr, self.values))
+        self.expects = "one of " + ", ".join(map(repr, self.values)) + "."  # click's own words
 
     def convert(self, value, param, ctx):
         # click.Choice returns the token as declared, whatever case was given.

@@ -203,11 +203,14 @@ def derive_observations(
                 outturn_constant = to_constant_prices(yearly, deflators, est.price_level_year)
             except OverflowError:  # math.fsum's, when finite terms sum past the float range
                 outturn_constant = math.inf
-            value = cost_overrun(outturn_constant, float(est.base))
-            if not math.isfinite(value):
+            # Index ratios far apart can take the outturn past the float range,
+            # or so far below the estimate that the overrun rounds to -1.
+            value = cost_overrun(outturn_constant, float(est.base)) if outturn_constant > 0 else -1.0
+            if not -1 < value < math.inf:
+                bound, ratios = ("overflows to inf", "large") if value > 0 else ("underflows to -1", "small")
                 raise DataFormatError(
-                    f"project {record.id}, stage {stage}: the cost overrun overflows to {value} "
-                    "(deflator index ratios too large)"
+                    f"project {record.id}, stage {stage}: the cost overrun {bound} "
+                    f"(deflator index ratios too {ratios})"
                 )
             observations.append(
                 OverrunObservation(

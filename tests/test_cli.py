@@ -330,6 +330,17 @@ def test_usage_errors_exit_1(table2_paths, tmp_path, capsys):
         assert "Error:" in err
         assert max(len(line) for line in err.splitlines()) < 200, bad
 
+    # Each option type rejects a value as its first 40 characters and what it expects.
+    head = f"{'x' * 40!r}... (400 characters) is not"
+    for flag, expects in [
+        ("--span", "a number in the range 0<x<=1"),
+        ("--degree", "an integer in the range 1<=x<=2"),
+        ("--stage", "one of 'C', 'B', 'A'."),
+    ]:
+        code, _, err = run(capsys, "curve", *args, "--stage", "C", "--metric", "cost", flag, "x" * 400)
+        assert code == 1
+        assert err.splitlines()[-1] == f"Error: Invalid value for '{flag}': {head} {expects}"
+
     # A negative smallest outturn admits every project.
     code, _, _ = run(capsys, "uplift", *args, "--stage", "C", "--metric", "cost",
                      "--min-outturn", "-5")
@@ -609,7 +620,8 @@ def test_data_errors_exit_2(table2_paths, tmp_path, capsys):
 
     # The shipped series with indexes whose ratios no float holds: one
     # underflows to 0, one overflows to inf, or every index is finite but an
-    # outturn's conversion overflows (check reads only the series).
+    # outturn's conversion overflows, or underflows so far that the overrun
+    # rounds to -1 (check reads only the series).
     shipped = [line.split(",") for line in (SHIPPED_DATA / "deflators.csv").read_text().splitlines()]
     too_wide = "deflator index for 1987 over base year 1986 must be a positive finite ratio, got"
     for index, message, check_code in [
@@ -617,6 +629,8 @@ def test_data_errors_exit_2(table2_paths, tmp_path, capsys):
         (lambda year: 1e-300 if year == 1986 else 1e300, f"{too_wide} inf", 2),
         (lambda year: 1e300 if 1989 <= year <= 1993 else 1e-8,
          "project 6801, stage C: the cost overrun overflows to inf (deflator index ratios too large)", 0),
+        (lambda year: 1e-300 if 1989 <= year <= 1993 else 1,
+         "project 6801, stage C: the cost overrun underflows to -1 (deflator index ratios too small)", 0),
     ]:
         wide = tmp_path / "wide.csv"
         wide.write_text("year,index\n" + "".join(f"{year},{index(int(year))}\n" for year, _ in shipped[1:]))

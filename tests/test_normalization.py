@@ -260,6 +260,14 @@ def test_derive_rejects_a_cost_overrun_no_float_holds(disbursements):
         derive_observations(record, series)
 
 
+@pytest.mark.parametrize("year", [2001, 2002])  # the overrun rounds to -1; the outturn underflows to 0
+def test_derive_rejects_a_cost_overrun_that_rounds_to_total_loss(year):
+    series = DeflatorSeries.from_pairs([(1999, 1.0), (2000, 1e-300), (2001, 1.0), (2002, 1e300)])
+    record = dataclasses.replace(_record_single_stage(Stage.B, outturn=10**6), disbursements={year: 10**6})
+    with pytest.raises(DataFormatError, match="^project n1, stage B: the cost overrun underflows to -1"):
+        derive_observations(record, series)
+
+
 def test_derive_marks_pre_era():
     record = ProjectRecord(
         id="n2",
