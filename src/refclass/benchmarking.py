@@ -29,7 +29,7 @@ TEST_NAMES = {"mean": "mann-whitney-u", "frequency": "fisher-exact"}
 DAYS_PER_YEAR = 365.25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchmarkRow:
     stage: Stage
     metric: Metric
@@ -39,7 +39,7 @@ class BenchmarkRow:
     frequency_test: TestResult | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchmarkReport:
     rows: tuple[BenchmarkRow, ...]
     constants: BenchmarkConstants | None
@@ -199,7 +199,7 @@ def write_benchmark_json(report: BenchmarkReport, sink: IO[str]) -> None:
     sink.write("\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseBreakdown:
     """Calendar phases of one project, in fractional years.
 
@@ -218,7 +218,7 @@ class PhaseBreakdown:
     preconstruction_share: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseAggregate:
     n: int
     mean_total_years: float

@@ -127,6 +127,15 @@ _FILE_SETTINGS = ("projects", "deflators", "benchmark", "out")
 _CURVE_SETTINGS = tuple(key for key in _SETTINGS if key != "benchmark")
 
 
+def _os_error_text(exc: OSError) -> str:
+    """``str(exc)``, with the file names it echoes shortened."""
+
+    if exc.filename is None:
+        return str(exc)
+    names = (shortened(name) for name in (exc.filename, exc.filename2) if name is not None)
+    return f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(names)}"
+
+
 def _read_config(ctx: click.Context, _param, path: str | None) -> None:
     """Load a flat ``key = value`` file as the command's default map."""
 
@@ -135,7 +144,7 @@ def _read_config(ctx: click.Context, _param, path: str | None) -> None:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise click.UsageError(f"cannot read config file: {exc}")
+        raise click.UsageError(f"cannot read config file: {_os_error_text(exc)}")
     except UnicodeDecodeError:
         raise click.UsageError(f"config file {path} is not UTF-8 text")
     defaults: dict[str, str] = {}
@@ -530,7 +539,10 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (RefclassError, OSError) as exc:
+    except OSError as exc:
+        print(f"error: {_os_error_text(exc)}", file=sys.stderr)
+        return 2
+    except RefclassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return {EmptyClassError: 3, NonMonotoneCurveError: 4}.get(type(exc), 2)
     return 0

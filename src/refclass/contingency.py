@@ -18,7 +18,7 @@ from .formatting import round_half_away
 from .reference_class import QuantileMethod, ReferenceClass, UpliftCurve, require_monotone, uplift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TierScheme:
     """Ordered (name, certainty) tiers, strictly increasing in certainty."""
 
@@ -29,9 +29,13 @@ class TierScheme:
         if not self.tiers:
             raise ValueError("a tier scheme needs at least one tier")
         previous = 0.0
+        named = set()
         for name, certainty in self.tiers:
             if not name:
                 raise ValueError("tier names must be non-empty")
+            if name in named:
+                raise ValueError(f"tier {shortened(name)}: names must be unique")
+            named.add(name)
             if not 0.0 < certainty <= 1.0:
                 raise ValueError(f"tier {shortened(name)}: certainty must lie in (0, 1], got {certainty}")
             if certainty <= previous:
@@ -49,7 +53,7 @@ DEFAULT_TIER_SCHEME = TierScheme(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TierTranche:
     name: str
     certainty: float
@@ -58,7 +62,7 @@ class TierTranche:
     tranche_amount: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TierAllocation:
     base_estimate: int
     tranches: tuple[TierTranche, ...]
@@ -118,7 +122,7 @@ def tier_allocation(base_estimate: int, curve: UpliftCurve, scheme: TierScheme) 
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortfolioPool:
     """Per-project funding at the project tier plus one shared reserve that
     tops the whole portfolio up to the portfolio tier."""

@@ -37,13 +37,13 @@ class NonMonotoneCurveError(RefclassError):
     """An uplift curve is not non-decreasing where monotonicity is required."""
 
 
-def shortened(value: str | int, limit: int = 40) -> str:
-    """``repr(value)``; a value of more than ``limit`` characters shows only
+def shortened(value: str | int, limit: int = 40, show=repr) -> str:
+    """``show(value)``; a value of more than ``limit`` characters shows only
     its first ``limit`` and its length, so that an error line which echoes a
     value stays short however long the value is."""
 
     text = str(value)
     if len(text) <= limit:
-        return repr(value)
+        return show(value)
     head = repr(text[:limit]) if isinstance(value, str) else text[:limit]
     return f"{head}... ({len(text)} characters)"

@@ -48,7 +48,7 @@ DISBURSEMENT_PROFILE_PERCENTS: dict[int, tuple[int, ...]] = {
 _NORMALIZED_SUM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisbursementProfile:
     """Share of spending per project year.
 
@@ -64,7 +64,7 @@ class DisbursementProfile:
         return abs(math.fsum(self.shares) - 1.0) <= _NORMALIZED_SUM_TOLERANCE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OverrunObservation:
     """One normalized outcome: how far a stage estimate missed reality.
 

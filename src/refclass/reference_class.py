@@ -76,7 +76,7 @@ def empirical_quantile(values: Sequence[float], p: float, method: QuantileMethod
     return values[i] + frac * (values[i + 1] - values[i])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassFilter:
     """Membership rule for a reference class."""
 
@@ -86,7 +86,7 @@ class ClassFilter:
     exclude_pre_era: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReferenceClass:
     """A filtered set of overrun observations.
 
@@ -223,7 +223,7 @@ def default_probability_grid(step: float = 0.01) -> tuple[float, ...]:
     return tuple(grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpliftCurve:
     """Uplift as a function of certainty.
 
@@ -321,13 +321,7 @@ def require_monotone(curve: UpliftCurve) -> None:
         )
 
 
-def _year_fraction(d: date) -> float:
-    year_start = date(d.year, 1, 1)
-    year_days = (date(d.year + 1, 1, 1) - year_start).days
-    return d.year + (d - year_start).days / year_days
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrendPoint:
     reference_date: date
     fit: float
@@ -335,7 +329,7 @@ class TrendPoint:
     ci_high: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrendShift:
     """Before/after comparison of overruns around a cutoff date."""
 
@@ -356,24 +350,35 @@ def trend_by_date(
     """Loess trend of overruns over their reference dates, plus a
     rank-tested before/after comparison at the cutoff."""
 
-    dated = sorted(observations, key=lambda o: (o.reference_date, o.project_id))
+    from operator import attrgetter
+
+    dated = sorted(observations, key=attrgetter("reference_date", "project_id"))
     if len(dated) < 4:
         raise InsufficientDataError(
             f"trend needs at least 4 dated observations, got {len(dated)}"
         )
-    from .smoothing import loess_smooth
+    from .smoothing import _loess_sorted
 
-    # Many observations share a reference date: convert each date once.
-    fractions = {d: _year_fraction(d) for d in {o.reference_date for o in dated}}
-    points = [(fractions[o.reference_date], o.value) for o in dated]
-    smoothed = loess_smooth(points, span=span, degree=degree)
+    # Each date as a year plus the fraction of that year gone by. Fractions
+    # grow strictly with the date, so the dated order is the fit's x order.
+    x = []
+    year = None
+    for o in dated:
+        d = o.reference_date
+        if d.year != year:
+            year = d.year
+            start = date(year, 1, 1).toordinal()
+            days = date(year + 1, 1, 1).toordinal() - start
+        x.append(year + (d.toordinal() - start) / days)
+    values = [o.value for o in dated]
+    fits, lows, highs = _loess_sorted(x, values, span, degree)
     trend = [
-        TrendPoint(o.reference_date, fit, lo, hi)
-        for o, (_, fit, lo, hi) in zip(dated, smoothed)
+        TrendPoint(o.reference_date, fit, low, high)
+        for o, fit, low, high in zip(dated, fits.tolist(), lows.tolist(), highs.tolist())
     ]
 
-    before = [o.value for o in dated if o.reference_date < cutoff]
-    after = [o.value for o in dated if o.reference_date >= cutoff]
+    split = bisect_left(dated, cutoff, key=attrgetter("reference_date"))
+    before, after = values[:split], values[split:]
     shift = TrendShift(
         cutoff=cutoff,
         n_before=len(before),

@@ -89,7 +89,7 @@ class QuantileMethod(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageEstimate:
     """Everything the proforma records about one approval stage.
 
@@ -110,7 +110,7 @@ class StageEstimate:
         return all(getattr(self, f.name) is None for f in fields(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectRecord:
     """One completed project as recorded in the registry proforma."""
 
@@ -129,7 +129,7 @@ class ProjectRecord:
         object.__setattr__(self, "stages", stages)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One registry-invariant failure, reported as data rather than raised."""
 
@@ -138,7 +138,7 @@ class Violation:
     stage: Stage | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeflatorSeries:
     """Contiguous year -> price-index series, normalized so that
     ``index(base_year) == 1.0``.
@@ -198,7 +198,7 @@ class DeflatorSeries:
         return self.values[year - self.start_year]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchmarkConstants:
     """Published summary statistics for an external comparison group."""
 
@@ -216,22 +216,22 @@ class BenchmarkConstants:
         for name in ("mean_cost_overrun", "mean_schedule_overrun"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"benchmark {self.label!r}: {name} must be finite, got {value}")
+                raise ValueError(f"benchmark {shortened(self.label)}: {name} must be finite, got {value}")
         if self.n_projects < 1:
-            raise ValueError(f"benchmark {self.label!r}: n_projects must be >= 1")
+            raise ValueError(f"benchmark {shortened(self.label)}: n_projects must be >= 1")
         for name in ("cost_overrun_frequency", "schedule_overrun_frequency"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"benchmark {self.label!r}: {name} must lie in [0, 1], got {value}")
+                raise ValueError(f"benchmark {shortened(self.label)}: {name} must lie in [0, 1], got {value}")
         for name in ("cost_overrun_sd", "schedule_overrun_sd"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ValueError(
-                    f"benchmark {self.label!r}: {name} must be a non-negative finite number, got {value}"
+                    f"benchmark {shortened(self.label)}: {name} must be a non-negative finite number, got {value}"
                 )
         if not 0 < self.mean_duration_years < math.inf:
             raise ValueError(
-                f"benchmark {self.label!r}: mean_duration_years must be a positive finite number, "
+                f"benchmark {shortened(self.label)}: mean_duration_years must be a positive finite number, "
                 f"got {self.mean_duration_years}"
             )
 
@@ -498,7 +498,7 @@ def parse_project_records_lenient(
             )
         record = _row_to_record(row, row_number)
         if record.id in reports:
-            raise DataFormatError(f"row {row_number}: duplicate project id {record.id!r}")
+            raise DataFormatError(f"row {row_number}: duplicate project id {shortened(record.id)}")
         records.append(record)
         reports[record.id] = validate_record(record)
     return records, reports
@@ -590,22 +590,22 @@ def parse_benchmark_constants(source: str | IO[str]) -> dict[str, BenchmarkConst
     result: dict[str, BenchmarkConstants] = {}
     for label, body in payload.items():
         if not isinstance(body, dict):
-            raise DataFormatError(f"benchmark {label!r}: entry must be an object")
+            raise DataFormatError(f"benchmark {shortened(label)}: entry must be an object")
         missing = [f.name for f in numeric if f.name not in body]
         if missing:
-            raise DataFormatError(f"benchmark {label!r}: missing fields {', '.join(missing)}")
+            raise DataFormatError(f"benchmark {shortened(label)}: missing fields {', '.join(missing)}")
         values = {}
         for f in numeric:
             value = body[f.name]
             kinds, kind_name = _JSON_KINDS[f.type]
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise DataFormatError(
-                    f"benchmark {label!r}: {f.name} must be {kind_name}, got {json.dumps(value)}"
+                    f"benchmark {shortened(label)}: {f.name} must be {kind_name}, got {shortened(json.dumps(value), show=str)}"
                 )
             try:
                 values[f.name] = float(value) if f.type == "float" else value
             except OverflowError as exc:
-                raise DataFormatError(f"benchmark {label!r}: {f.name}: {exc}") from None
+                raise DataFormatError(f"benchmark {shortened(label)}: {f.name}: {exc}") from None
         try:
             result[label] = BenchmarkConstants(label=label, **values)
         except ValueError as exc:

@@ -5,7 +5,9 @@ every input x. Point i's window holds the ceil(span * n) points nearest to
 it, never fewer than degree + 2; at the window's edge distance, tied points
 are taken lowest index (in ascending x order) first, so with repeated x a
 window can skip part of a tie block. Because x is sorted, a two-pointer
-scan finds every window in one pass. x and y must be finite.
+scan finds every window in one pass. x and y must be finite. The date
+trend skips that sort: its points arrive sorted by date, and a date's year
+fraction grows strictly with the date, so they are already in x order.
 
 The fit at each point is a linear map of the responses: its hat vector
 h_j = w_j * sum_k c_k t_j^k, where t = (x - x_i) / d_max scales the window
@@ -57,13 +59,15 @@ from .errors import InsufficientDataError
 
 _Z_95 = 1.96
 
-#: Entries per (points x window) work array; a fit holds four (1 MiB) and
+#: Entries per (points x window) work array; a fit holds four (512 KiB) and
 #: one block of gathered window rows at a time. Larger blocks take fewer
-#: numpy calls per point. On a 2-core host, the loess fit of a class with
-#: 1,087 distinct dates took 28-43 ms at 2^13 entries, 23-35 ms at 2^14,
-#: 22-33 ms at 2^15 and 26-30 ms at 2^16 (best of 30 per round); 2^15 was
-#: fastest in five of six rounds.
-_BLOCK_ENTRIES = 1 << 15
+#: numpy calls per point, but past 2^14 no faster fit shows. On a 2-core
+#: host, the loess fit of a class with 1,087 distinct dates (1,768 points)
+#: took a median of 21.9 ms at 2^14 entries and 22.8 ms at 2^15, quartiles
+#: 21.4-25.2 and 21.2-24.7 ms, over 12 alternated rounds of best of 8;
+#: 2^14 was slower in 7 of them, by a median of 0.25 ms. An earlier
+#: measurement gave 28-43 ms at 2^13 and 26-30 ms at 2^16.
+_BLOCK_ENTRIES = 1 << 14
 
 #: Local systems with a larger condition number are solved by pseudo-inverse.
 _MAX_CONDITION = 1e8
@@ -87,19 +91,30 @@ def loess_smooth(
     x values have collapsed to a single point degenerates to the local mean.
     """
 
+    order = sorted(range(len(points)), key=lambda i: (points[i][0], i))
+    x = np.array([points[i][0] for i in order], dtype=float)
+    y = np.array([points[i][1] for i in order], dtype=float)
+    fits, low, high = _loess_sorted(x, y, span, degree)
+    return list(zip(x.tolist(), fits.tolist(), low.tolist(), high.tolist()))
+
+
+def _loess_sorted(
+    x: Sequence[float], y: Sequence[float], span: float, degree: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fit and the low and high ends of its 95 percent band at each
+    point of ascending ``x``: ``loess_smooth`` after its sort."""
+
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
     if not 0.0 < span <= 1.0:
         raise ValueError(f"span must lie in (0, 1], got {span}")
-    n = len(points)
+    n = len(x)
     if n < degree + 2:
         raise InsufficientDataError(
             f"loess needs at least {degree + 2} points for degree {degree}, got {n}"
         )
-
-    order = sorted(range(n), key=lambda i: (points[i][0], i))
-    x = np.array([points[i][0] for i in order], dtype=float)
-    y = np.array([points[i][1] for i in order], dtype=float)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("loess needs finite x and y")
 
@@ -129,7 +144,7 @@ def loess_smooth(
     denom = max(float(n) - effective_df, 1.0)
     sigma2 = float(residuals @ residuals) / denom
     band = _Z_95 * np.sqrt(sigma2 * hat_row_ss)
-    return list(zip(x.tolist(), fits.tolist(), (fits - band).tolist(), (fits + band).tolist()))
+    return fits, fits - band, fits + band
 
 
 def _power_sum_fits(

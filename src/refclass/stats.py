@@ -1,9 +1,10 @@
 """Distribution-free comparison tests and descriptive summaries.
 
-The rank-sum test uses midranks for ties. For small untied samples
-(combined size at most 14) the two-sided p-value is exact, from the full
-null distribution of the U statistic; otherwise a normal approximation with
-tie correction and continuity correction applies.
+The rank-sum test uses midranks for ties, all taken from one sort of the
+pooled samples. For small untied samples (combined size at most 14) the
+two-sided p-value is exact, from the full null distribution of the U
+statistic; otherwise a normal approximation with tie correction and
+continuity correction applies.
 
 The two-proportion test is Fisher's exact test on the 2x2 table, two-sided
 by summing every table whose probability does not exceed the observed one.
@@ -23,7 +24,7 @@ from typing import Sequence
 EXACT_RANK_TEST_LIMIT = 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescriptiveStats:
     """Sample summary: size, mean, sample standard deviation, and the share
     of strictly positive values (the overrun frequency)."""
@@ -35,7 +36,7 @@ class DescriptiveStats:
     sd_defined: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestResult:
     name: str
     statistic: float
@@ -58,26 +59,6 @@ def descriptive_stats(values: Sequence[float]) -> DescriptiveStats:
     return DescriptiveStats(
         n=n, mean=mean, sd=sd, overrun_frequency=positive / n, sd_defined=sd_defined
     )
-
-
-def _midranks(values: Sequence[float]) -> tuple[list[float], list[int]]:
-    """Ranks 1..n with ties averaged; also returns the tie-group sizes."""
-
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    tie_sizes: list[int] = []
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # positions i..j (0-based) share ranks i+1..j+1
-        mean_rank = (i + 1 + j + 1) / 2.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        tie_sizes.append(j - i + 1)
-        i = j + 1
-    return ranks, tie_sizes
 
 
 def _rank_sum_counts(k: int, n: int) -> list[int]:
@@ -110,12 +91,22 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> TestResult:
     if n_a == 0 or n_b == 0:
         raise ValueError("both samples must be non-empty")
 
-    ranks, tie_sizes = _midranks(list(a) + list(b))
-    rank_sum_a = math.fsum(ranks[:n_a])
+    from collections import Counter
+
+    # Counted from one sort, the distinct values come out ascending; a run of
+    # t equal values from 0-based position i shares the ranks i+1..i+t.
+    counts = Counter(sorted([*a, *b]))
+    midrank = {}
+    position = 0
+    for value, t in counts.items():
+        midrank[value] = (2 * position + t + 1) / 2.0
+        position += t
+    # fsum is exactly rounded, so the order of its terms cannot matter.
+    rank_sum_a = math.fsum([midrank[v] for v in a])
     u_a = rank_sum_a - n_a * (n_a + 1) / 2.0
     u_b = n_a * n_b - u_a
-    has_ties = any(t > 1 for t in tie_sizes)
     n = n_a + n_b
+    has_ties = len(counts) < n
 
     if not has_ties and n <= EXACT_RANK_TEST_LIMIT:
         # Exact tail of the symmetric null distribution, doubled and capped.
@@ -127,7 +118,7 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> TestResult:
         p = min(1.0, float(2 * Fraction(tail, math.comb(n, n_a))))
         return TestResult("mann-whitney-u", u_a, p)
 
-    tie_term = math.fsum(t**3 - t for t in tie_sizes)
+    tie_term = math.fsum(t**3 - t for t in counts.values())
     variance = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0:
         # Every value tied with every other: no evidence of any difference.

@@ -32,7 +32,7 @@ from .reference_class import QuantileMethod, ReferenceClass, empirical_quantile,
 from .registry import DEFAULT_P_LEVELS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoovRow:
     """One held-out project: the uplifts the rest of the class implies for
     it, its actual overrun, and whether funding at each level covered it."""
@@ -43,7 +43,7 @@ class LoovRow:
     prevented_at: dict[float, bool]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoovSummary:
     p_level: float
     hits: int
@@ -77,28 +77,25 @@ def leave_one_out(
     # which rank_position fixes from n - 1 and p alone. Leaving out sorted
     # position g shifts exactly the read positions >= g, so each level has
     # at most three answers: one per number of read positions shifted.
-    answers = {}
+    answers = []
     for p in levels:
         start, frac = rank_position(reference.n - 1, p, method)
         read = [start, start + 1] if frac else [start]
         # Gap read[j] shifts read[j:]; a gap past the last read shifts none.
-        answers[p] = read, [
+        answers.append((p, read, [
             empirical_quantile(ordered[:g] + ordered[g + 1:], p, method)
             for g in read + [read[-1] + 1]
-        ]
+        ]))
 
     rows: list[LoovRow] = []
-    for i, held_out in enumerate(reference.entries):
-        uplifts = {p: uplift[bisect_left(read, rank[i])] for p, (read, uplift) in answers.items()}
-        prevented = {p: held_out.value <= uplifts[p] for p in levels}
-        rows.append(
-            LoovRow(
-                project_id=held_out.project_id,
-                uplift_at=uplifts,
-                actual=held_out.value,
-                prevented_at=prevented,
-            )
-        )
+    for held_out, held_rank in zip(reference.entries, rank):
+        actual = held_out.value
+        uplifts = {}
+        prevented = {}
+        for p, read, uplift in answers:
+            uplifts[p] = answer = uplift[bisect_left(read, held_rank)]
+            prevented[p] = actual <= answer
+        rows.append(LoovRow(held_out.project_id, uplifts, actual, prevented))
     return rows
 
 

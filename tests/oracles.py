@@ -6,21 +6,27 @@ project, loess argsorts every distance row and takes a pseudo-inverse per
 point while filling a dense n x n hat matrix (and its power-sum form solves
 every point, tied x included, with fresh work arrays per block, sums
 every power of every term, and gathers each window through indices filled
-row by row), and Fisher's test builds a Fraction per table. They
-are quadratic or worse, so tests call them on small inputs only.
+row by row), Fisher's test builds a Fraction per table, the rank-sum
+test ranks through an argsort and a scan for ties, and the date trend
+converts each observation's date on its own and hands loess unsorted
+points. Most are quadratic or worse, so tests call them on small inputs
+only.
 """
 
 from __future__ import annotations
 
 import math
+from datetime import date
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from refclass import smoothing
+from refclass import smoothing, stats
 from refclass.errors import InsufficientDataError
-from refclass.reference_class import QuantileMethod, ReferenceClass
+from refclass.normalization import OverrunObservation
+from refclass.reference_class import QuantileMethod, ReferenceClass, TrendPoint, TrendShift
+from refclass.stats import TestResult
 from refclass.validation import LoovRow
 
 _Z_95 = 1.96
@@ -204,3 +210,88 @@ def proportion_test(k1: int, n1: int, k2: int, n2: int) -> float:
         if table <= observed:
             p += table
     return float(min(p, Fraction(1)))
+
+
+def _midranks(values: Sequence[float]) -> tuple[list[float], list[int]]:
+    """Ranks 1..n with ties averaged; also returns the tie-group sizes."""
+
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    tie_sizes: list[int] = []
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        # positions i..j (0-based) share ranks i+1..j+1
+        mean_rank = (i + 1 + j + 1) / 2.0
+        for k in range(i, j + 1):
+            ranks[order[k]] = mean_rank
+        tie_sizes.append(j - i + 1)
+        i = j + 1
+    return ranks, tie_sizes
+
+
+def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> TestResult:
+    """The rank-sum test with a rank per pooled value from ``_midranks``."""
+
+    n_a, n_b = len(a), len(b)
+    ranks, tie_sizes = _midranks(list(a) + list(b))
+    rank_sum_a = math.fsum(ranks[:n_a])
+    u_a = rank_sum_a - n_a * (n_a + 1) / 2.0
+    u_b = n_a * n_b - u_a
+    has_ties = any(t > 1 for t in tie_sizes)
+    n = n_a + n_b
+
+    if not has_ties and n <= stats.EXACT_RANK_TEST_LIMIT:
+        u_small = min(u_a, u_b)
+        offset = n_a * (n_a + 1) // 2
+        counts = stats._rank_sum_counts(n_a, n)
+        limit = int(round(u_small)) + offset
+        tail = sum(counts[s] for s in range(offset, min(limit, len(counts) - 1) + 1))
+        p = min(1.0, float(2 * Fraction(tail, math.comb(n, n_a))))
+        return TestResult("mann-whitney-u", u_a, p)
+
+    tie_term = math.fsum(t**3 - t for t in tie_sizes)
+    variance = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+    if variance <= 0:
+        return TestResult("mann-whitney-u", u_a, 1.0)
+    mean_u = n_a * n_b / 2.0
+    z = max(0.0, abs(u_a - mean_u) - 0.5) / math.sqrt(variance)
+    p = min(1.0, 2.0 * stats._normal_sf(z))
+    return TestResult("mann-whitney-u", u_a, p)
+
+
+def _year_fraction(d: date) -> float:
+    year_start = date(d.year, 1, 1)
+    year_days = (date(d.year + 1, 1, 1) - year_start).days
+    return d.year + (d - year_start).days / year_days
+
+
+def trend_by_date(
+    observations: Iterable[OverrunObservation],
+    cutoff: date,
+    span: float = 0.75,
+    degree: int = 2,
+) -> tuple[list[TrendPoint], TrendShift]:
+    """The date trend through the public ``loess_smooth``: one
+    ``_year_fraction`` per observation, the points sorted again by loess,
+    and each side of the cutoff gathered by its own scan."""
+
+    dated = sorted(observations, key=lambda o: (o.reference_date, o.project_id))
+    points = [(_year_fraction(o.reference_date), o.value) for o in dated]
+    smoothed = smoothing.loess_smooth(points, span=span, degree=degree)
+    trend = [
+        TrendPoint(o.reference_date, fit, lo, hi) for o, (_, fit, lo, hi) in zip(dated, smoothed)
+    ]
+    before = [o.value for o in dated if o.reference_date < cutoff]
+    after = [o.value for o in dated if o.reference_date >= cutoff]
+    shift = TrendShift(
+        cutoff=cutoff,
+        n_before=len(before),
+        n_after=len(after),
+        mean_before=math.fsum(before) / len(before) if before else None,
+        mean_after=math.fsum(after) / len(after) if after else None,
+        test=mann_whitney_u(before, after) if before and after else None,
+    )
+    return trend, shift

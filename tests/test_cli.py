@@ -320,6 +320,9 @@ def test_usage_errors_exit_1(table2_paths, tmp_path, capsys):
         ["uplift", "--era-cutoff", "9" * 400],
         ["uplift", "--p", "9" * 400 + "x"],
         ["tiers", "--base", "100", "--scheme", "b:0.5," + "x" * 400 + ":0.4"],
+        ["tiers", "--base", "100", "--scheme", "a:0.5,a:0.6"],
+        ["tiers", "--base", "100", "--scheme", "x" * 400 + ":0.5," + "x" * 400 + ":0.6"],
+        ["uplift", "--config", "x" * 400],
         *([command, flag, "x" * 400] for command in ("uplift", "curve")
           for flag in ("--span", "--grid-step", "--degree", "--stage", "--metric", "--method")),
     ):
@@ -699,6 +702,34 @@ def test_data_errors_exit_2(table2_paths, tmp_path, capsys):
     assert code == 2
     assert err == ("error: row 2, column 'outturn_nominal': invalid money amount "
                    f"'{'9' * 40}'... (401 characters) (integer HKD thousands expected)\n")
+
+    # A data error echoes a long file name, benchmark label, JSON value of
+    # the wrong kind or duplicate project id shortened; short ones in full.
+    id_column = rows[0].index("id")
+    twice = [rows[0], *([*rows[1][:id_column], "x" * 400, *rows[1][id_column + 1:]] for _ in range(2))]
+    duplicates = tmp_path / "duplicates.csv"
+    with open(duplicates, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(twice)
+    long_label = tmp_path / "long_label.json"
+    long_label.write_text(json.dumps({"x" * 400: {**good, "n_projects": 0}}))
+    long_value = tmp_path / "long_value.json"
+    long_value.write_text(json.dumps({"international-roads": {**good, "n_projects": "y" * 400}}))
+    short_value = tmp_path / "short_value.json"
+    short_value.write_text(json.dumps({"international-roads": {**good, "n_projects": "y"}}))
+    for files, message in [
+        (["--projects", "x" * 400], None),
+        (["--projects", str(duplicates)], None),
+        (["--benchmark", str(long_label)], None),
+        (["--benchmark", str(long_value)], None),
+        (["--projects", "missing.csv"], "[Errno 2] No such file or directory: 'missing.csv'"),
+        (["--benchmark", str(short_value)], "benchmark 'international-roads': n_projects must be an integer, got \"y\""),
+    ]:
+        code, _, err = run(capsys, "check", "--projects", projects, "--deflators", deflators, *files)
+        assert code == 2, files
+        assert len(err.splitlines()) == 1 and len(err) < 200, files
+        if message is not None:
+            assert err == f"error: {message}\n"
+
 
 
 def test_empty_class_exits_3(table2_paths, tmp_path, capsys):

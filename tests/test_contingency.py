@@ -111,6 +111,8 @@ def test_scheme_validation():
         TierScheme(tiers=(("a", 1.2),))
     with pytest.raises(ValueError):
         TierScheme(tiers=(("", 0.5),))
+    with pytest.raises(ValueError, match="^tier 'a': names must be unique$"):
+        TierScheme(tiers=(("a", 0.5), ("b", 0.55), ("a", 0.6)))
     TierScheme(tiers=(("a", 1.0),))
 
 

@@ -230,6 +230,63 @@ def test_large_fits_start_no_thread():
     assert len(trend) == len(observations)
 
 
+def test_trend_year_fractions_match_per_date_conversion():
+    first, last = date(1899, 1, 1), date(2101, 12, 31)
+    days = [first + timedelta(days=k) for k in range((last - first).days + 1)]
+    observations = [
+        OverrunObservation(f"p{k:05d}", Stage.C, Metric.COST, 0.0, day, False, 500_000)
+        for k, day in enumerate(days)
+    ]
+    seen = []
+
+    def fit(x, y, span, degree):
+        seen.extend(x)
+        return np.zeros(len(x)), np.zeros(len(x)), np.zeros(len(x))
+
+    with mock.patch.object(smoothing, "_loess_sorted", side_effect=fit):
+        trend_by_date(observations)
+    assert seen == [oracles._year_fraction(day) for day in days]
+
+
+# Observations over 1 to 400 days from late 1991, so the dates cross into a
+# leap year, with the cutoff anywhere from the first day to just past the
+# last. Up to 400 observations: the direct fit and the power sums.
+_TREND_START = date(1991, 11, 15)
+dated_observations = st.integers(1, 400).flatmap(
+    lambda days: st.tuples(
+        st.lists(
+            st.tuples(
+                st.integers(0, days),
+                st.integers(-5, 5).map(lambda k: k / 10) | st.floats(min_value=-0.9, max_value=3.0),
+            ),
+            min_size=4,
+            max_size=400,
+        ),
+        st.integers(0, days + 1).map(lambda day: _TREND_START + timedelta(days=day)),
+    )
+)
+
+
+# 300 observations on 200 days, split at day 100 and at the first day.
+_TREND_TIES = [((37 * k) % 200, (k % 11) / 10) for k in range(300)]
+
+
+@given(drawn=dated_observations, span=spans, degree=degrees)
+@example(drawn=(_TREND_TIES, _TREND_START + timedelta(days=100)), span=0.3, degree=2)
+@example(drawn=(_TREND_TIES, _TREND_START), span=0.75, degree=1)
+def test_trend_by_date_equals_public_loess_path(drawn, span, degree):
+    offsets, cutoff = drawn
+    # Ids out of input order, so same-day observations are reordered.
+    observations = [
+        OverrunObservation(f"p{(7 * k) % 401:03d}", Stage.C, Metric.COST, value,
+                           _TREND_START + timedelta(days=day), False, 500_000)
+        for k, (day, value) in enumerate(offsets)
+    ]
+    assert trend_by_date(observations, cutoff, span, degree) == oracles.trend_by_date(
+        observations, cutoff, span, degree
+    )
+
+
 def test_loess_rank_deficient_windows_take_pinv_fallback():
     # Only the points sharing x_i have positive weight (the other x sits at
     # the window's edge distance), so no window supports a quadratic.

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import corpus
 import oracles
@@ -131,6 +131,24 @@ def test_mwu_u_parts_sum_even_with_ties(a, b):
     forward = mann_whitney_u(a, b)
     backward = mann_whitney_u(b, a)
     assert forward.statistic + backward.statistic == pytest.approx(len(a) * len(b))
+
+
+# Small ints tie often; the floats hold both zeros and a tiny positive value.
+_rank_ints = st.integers(-5, 5)
+_rank_floats = st.sampled_from([0.0, -0.0, 1e-300]) | st.floats(allow_nan=False)
+# Up to 60 values in all: the exact branch (untied, at most 14) and the normal one.
+_rank_samples = (
+    st.lists(_rank_ints, min_size=1, max_size=30)
+    | st.lists(_rank_floats, min_size=1, max_size=30)
+    | st.lists(_rank_ints | _rank_floats, min_size=1, max_size=30)
+)
+
+
+@example(a=[0.0, 1e-300], b=[-0.0, 0])
+@example(a=[0.5, 3, -2.0], b=[1, 2.5])
+@given(a=_rank_samples, b=_rank_samples)
+def test_mwu_from_one_sort_equals_midrank_oracle(a, b):
+    assert mann_whitney_u(a, b) == oracles.mann_whitney_u(a, b)
 
 
 def test_mwu_exact_agrees_with_scipy():

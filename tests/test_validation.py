@@ -121,6 +121,12 @@ def test_seeded_normal_classes_match_resorting_oracle():
             assert rows == oracles.leave_one_out(reference, (0.5, 0.8), method), (seed, method)
 
 
+def test_each_row_owns_its_dicts(table2_class):
+    rows = leave_one_out(table2_class)
+    dicts = [d for row in rows for d in (row.uplift_at, row.prevented_at)]
+    assert len({id(d) for d in dicts}) == len(dicts)
+
+
 def test_mixed_stage_class_order(table2_class):
     # Row order must follow the order observations entered the class,
     # not the sorted value order used for quantiles.
