@@ -599,9 +599,8 @@ def parse_benchmark_constants(source: str | IO[str]) -> dict[str, BenchmarkConst
             value = body[f.name]
             kinds, kind_name = _JSON_KINDS[f.type]
             if isinstance(value, bool) or not isinstance(value, kinds):
-                raise DataFormatError(
-                    f"benchmark {shortened(label)}: {f.name} must be {kind_name}, got {shortened(json.dumps(value), show=str)}"
-                )
+                shown = shortened(json.dumps(value), show=str)
+                raise DataFormatError(f"benchmark {shortened(label)}: {f.name} must be {kind_name}, got {shown}")
             try:
                 values[f.name] = float(value) if f.type == "float" else value
             except OverflowError as exc:
