@@ -146,7 +146,7 @@ def _read_config(ctx: click.Context, _param, path: str | None) -> None:
     except OSError as exc:
         raise click.UsageError(f"cannot read config file: {_os_error_text(exc)}")
     except UnicodeDecodeError:
-        raise click.UsageError(f"config file {path} is not UTF-8 text")
+        raise click.UsageError(f"config file {shortened(path, show=str)} is not UTF-8 text")
     defaults: dict[str, str] = {}
     for line_number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -252,7 +252,7 @@ def _parse_file(path: str, parse, newline: str | None = None):
         try:
             return parse(handle)
         except UnicodeDecodeError:
-            raise DataFormatError(f"{path} is not UTF-8 text") from None
+            raise DataFormatError(f"{shortened(path, show=str)} is not UTF-8 text") from None
 
 
 def _observations(projects: str | None, deflators: str | None, era_cutoff: date):

@@ -24,6 +24,7 @@ from .registry import (
     Metric,
     ProjectRecord,
     Stage,
+    _STAGES,
     construction_period,
     has_cost_data,
     has_schedule_data,
@@ -194,7 +195,7 @@ def derive_observations(
 
     observations: list[OverrunObservation] = []
     yearly = None  # the same for every stage, so spread at most once
-    for stage in Stage:
+    for stage in _STAGES:
         est = record.stages[stage]
         if has_cost_data(record, stage):
             if yearly is None:

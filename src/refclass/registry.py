@@ -21,7 +21,7 @@ import enum
 import json
 import math
 import re
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from datetime import date
 from typing import IO, NamedTuple
@@ -64,6 +64,11 @@ class Stage(enum.IntEnum):
 
     def __str__(self) -> str:
         return self.name
+
+
+# The stages in order, for the per-record loops: iterating the enum itself
+# costs a generator per loop.
+_STAGES = tuple(Stage)
 
 
 class Metric(enum.Enum):
@@ -124,8 +129,9 @@ class ProjectRecord:
     def __post_init__(self) -> None:
         # Every record carries all three stages; absent ones are blank.
         stages = dict(self.stages)
-        for stage in Stage:
-            stages.setdefault(stage, StageEstimate())
+        for stage in _STAGES:
+            if stage not in stages:
+                stages[stage] = StageEstimate()
         object.__setattr__(self, "stages", stages)
 
 
@@ -250,13 +256,18 @@ INTERNATIONAL_ROADS = BenchmarkConstants(
 )
 
 
-def _parse_id(text: str) -> str:
+# Each cell parser takes the cell's text and the dict of the values its
+# parse has made so far. A date or year equal to one made before is
+# returned as that object, so a parse keeps one object per distinct date
+# and year; the dict is keyed by parsed value, so a cell never gets a value
+# of another type because its text matched.
+def _parse_id(text: str, _shared: dict) -> str:
     if not _ID_PATTERN.match(text):
         raise ValueError(f"invalid project id {shortened(text)}")
     return text
 
 
-def _parse_money(text: str) -> int:
+def _parse_money(text: str, _shared: dict) -> int:
     if not _INT_PATTERN.match(text):
         raise ValueError(f"invalid money amount {shortened(text)} (integer HKD thousands expected)")
     # int() refuses a string past 4300 digits; a cell that long is out of
@@ -267,20 +278,22 @@ def _parse_money(text: str) -> int:
     return value
 
 
-def _parse_year(text: str) -> int:
+def _parse_year(text: str, shared: dict | None = None) -> int:
     if not _YEAR_PATTERN.match(text):
         raise ValueError(f"invalid year {shortened(text)}")
-    return int(text)
+    year = int(text)
+    return year if shared is None else shared.setdefault(year, year)
 
 
-def _parse_date(text: str) -> date:
+def _parse_date(text: str, shared: dict) -> date:
     try:
-        return date.fromisoformat(text)
+        value = date.fromisoformat(text)
     except ValueError:
         raise ValueError(f"invalid ISO date {shortened(text)}") from None
+    return shared.setdefault(value, value)
 
 
-def _parse_disbursements(text: str) -> dict[int, int]:
+def _parse_disbursements(text: str, shared: dict) -> dict[int, int]:
     spent: dict[int, int] = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -289,8 +302,8 @@ def _parse_disbursements(text: str) -> dict[int, int]:
         year_text, sep, amount_text = chunk.partition(":")
         if not sep:
             raise ValueError(f"disbursement entry {shortened(chunk)} is not year:amount")
-        year = _parse_year(year_text.strip())
-        amount = _parse_money(amount_text.strip())
+        year = _parse_year(year_text.strip(), shared)
+        amount = _parse_money(amount_text.strip(), shared)
         if year in spent:
             raise ValueError(f"duplicate disbursement year {year}")
         spent[year] = amount
@@ -307,7 +320,7 @@ class _Column(NamedTuple):
     name: str
     stage: Stage | None
     attribute: str
-    parse: Callable[[str], object]
+    parse: Callable[[str, dict], object]
 
 
 #: The proforma layout, in file order. Header check, parsing and writing
@@ -359,7 +372,7 @@ def validate_record(record: ProjectRecord) -> list[Violation]:
             Violation("non-positive-outturn", f"{record.id}: outturn must be positive, got {record.outturn_nominal}")
         )
 
-    dated = [(s, record.stages[s].upgrade_date) for s in Stage if record.stages[s].upgrade_date is not None]
+    dated = [(s, record.stages[s].upgrade_date) for s in _STAGES if record.stages[s].upgrade_date is not None]
     for (s0, d0), (s1, d1) in zip(dated, dated[1:]):
         if d1 < d0:
             problems.append(
@@ -370,7 +383,7 @@ def validate_record(record: ProjectRecord) -> list[Violation]:
                 )
             )
 
-    for stage in Stage:
+    for stage in _STAGES:
         est = record.stages[stage]
         for label, amount, floor in (
             ("base", est.base, 1),
@@ -448,9 +461,9 @@ def validate_record(record: ProjectRecord) -> list[Violation]:
     return problems
 
 
-def _row_to_record(row: Sequence[str], row_number: int) -> ProjectRecord:
+def _row_to_record(row: Sequence[str], row_number: int, shared: dict) -> ProjectRecord:
     record_fields: dict[str, object] = {}
-    stage_fields: dict[Stage, dict[str, object]] = {stage: {} for stage in Stage}
+    stage_fields: dict[Stage, dict[str, object]] = {stage: {} for stage in _STAGES}
     for column, cell in zip(_COLUMNS, row):
         text = cell.strip()
         if text == "":
@@ -458,7 +471,7 @@ def _row_to_record(row: Sequence[str], row_number: int) -> ProjectRecord:
                 raise DataFormatError(f"row {row_number}, column {column.name!r}: project id is missing")
             continue
         try:
-            value = column.parse(text)
+            value = column.parse(text, shared)
         except ValueError as exc:
             raise DataFormatError(f"row {row_number}, column {column.name!r}: {exc}") from None
         owner = record_fields if column.stage is None else stage_fields[column.stage]
@@ -467,14 +480,10 @@ def _row_to_record(row: Sequence[str], row_number: int) -> ProjectRecord:
     return ProjectRecord(stages=stages, **record_fields)
 
 
-def parse_project_records_lenient(
-    source: Iterable[str] | IO[str],
-) -> tuple[list[ProjectRecord], dict[str, list[Violation]]]:
-    """Parse the proforma, reporting invariant violations instead of raising.
-
-    Structural problems (bad header, bad cell, duplicate id) still raise
-    DataFormatError; only record-level consistency is deferred to the report.
-    """
+def _read_records(source: Iterable[str] | IO[str]) -> Iterator[ProjectRecord]:
+    """The proforma's records in file order. Structural problems (bad
+    header, bad cell, duplicate id) raise DataFormatError when their row is
+    reached; record-level consistency is left to the caller."""
 
     reader = csv.reader(source)
     try:
@@ -487,8 +496,8 @@ def parse_project_records_lenient(
             f"{','.join(PROJECT_COLUMNS)}"
         )
 
-    records: list[ProjectRecord] = []
-    reports: dict[str, list[Violation]] = {}
+    seen: set[str] = set()
+    shared: dict = {}  # this parse's dates and years, each once
     for row_number, row in enumerate(reader, start=2):
         if not row or all(cell.strip() == "" for cell in row):
             continue
@@ -496,22 +505,41 @@ def parse_project_records_lenient(
             raise DataFormatError(
                 f"row {row_number}: expected {len(PROJECT_COLUMNS)} columns, got {len(row)}"
             )
-        record = _row_to_record(row, row_number)
-        if record.id in reports:
+        record = _row_to_record(row, row_number, shared)
+        if record.id in seen:
             raise DataFormatError(f"row {row_number}: duplicate project id {shortened(record.id)}")
-        records.append(record)
-        reports[record.id] = validate_record(record)
-    return records, reports
+        seen.add(record.id)
+        yield record
+
+
+def parse_project_records_lenient(
+    source: Iterable[str] | IO[str],
+) -> tuple[list[ProjectRecord], dict[str, list[Violation]]]:
+    """Parse the proforma, reporting invariant violations instead of raising.
+
+    Structural problems (bad header, bad cell, duplicate id) still raise
+    DataFormatError; only record-level consistency is deferred to the report.
+    """
+
+    records = list(_read_records(source))
+    return records, {record.id: validate_record(record) for record in records}
 
 
 def parse_project_records(source: Iterable[str] | IO[str]) -> list[ProjectRecord]:
-    """Parse the proforma strictly: any registry-invariant violation raises."""
+    """Parse the proforma strictly: any registry-invariant violation raises.
 
-    records, reports = parse_project_records_lenient(source)
-    for record in records:
-        problems = reports[record.id]
-        if problems:
-            raise RecordConsistencyError("; ".join(v.message for v in problems))
+    The whole file is read first, so a structural problem anywhere in it
+    wins; otherwise the first inconsistent record's violations are raised.
+    """
+
+    records: list[ProjectRecord] = []
+    problems: list[Violation] = []
+    for record in _read_records(source):
+        records.append(record)
+        if not problems:
+            problems = validate_record(record)
+    if problems:
+        raise RecordConsistencyError("; ".join(v.message for v in problems))
     return records
 
 
@@ -664,7 +692,7 @@ def stage_availability(records: Sequence[ProjectRecord]) -> dict[tuple[Stage, Me
 
     counts = {(stage, metric): 0 for stage in Stage for metric in Metric}
     for record in records:
-        for stage in Stage:
+        for stage in _STAGES:
             if has_cost_data(record, stage):
                 counts[(stage, Metric.COST)] += 1
             if has_schedule_data(record, stage):

@@ -7,23 +7,25 @@ point while filling a dense n x n hat matrix (and its power-sum form solves
 every point, tied x included, with fresh work arrays per block, sums
 every power of every term, and gathers each window through indices filled
 row by row), Fisher's test builds a Fraction per table, the rank-sum
-test ranks through an argsort and a scan for ties, and the date trend
+test ranks through an argsort and a scan for ties, the date trend
 converts each observation's date on its own and hands loess unsorted
-points. Most are quadratic or worse, so tests call them on small inputs
-only.
+points, and the registry parse makes a new object for every cell and
+keeps every record's report. Most are quadratic or worse, so tests call
+them on small inputs only.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from datetime import date
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from refclass import smoothing, stats
-from refclass.errors import InsufficientDataError
+from refclass import registry, smoothing, stats
+from refclass.errors import DataFormatError, InsufficientDataError, RecordConsistencyError, shortened
 from refclass.normalization import OverrunObservation
 from refclass.reference_class import QuantileMethod, ReferenceClass, TrendPoint, TrendShift
 from refclass.stats import TestResult
@@ -295,3 +297,66 @@ def trend_by_date(
         test=mann_whitney_u(before, after) if before and after else None,
     )
     return trend, shift
+
+
+def _row_to_record(row: Sequence[str], row_number: int) -> registry.ProjectRecord:
+    record_fields: dict[str, object] = {}
+    stage_fields: dict[registry.Stage, dict[str, object]] = {stage: {} for stage in registry.Stage}
+    for column, cell in zip(registry._COLUMNS, row):
+        text = cell.strip()
+        if text == "":
+            if column.attribute == "id":
+                raise DataFormatError(f"row {row_number}, column {column.name!r}: project id is missing")
+            continue
+        try:
+            value = column.parse(text, {})  # a dict of its own: nothing is shared
+        except ValueError as exc:
+            raise DataFormatError(f"row {row_number}, column {column.name!r}: {exc}") from None
+        owner = record_fields if column.stage is None else stage_fields[column.stage]
+        owner[column.attribute] = value
+    stages = {stage: registry.StageEstimate(**values) for stage, values in stage_fields.items()}
+    return registry.ProjectRecord(stages=stages, **record_fields)
+
+
+def parse_project_records_lenient(
+    source: Iterable[str] | IO[str],
+) -> tuple[list[registry.ProjectRecord], dict[str, list[registry.Violation]]]:
+    """The lenient parse with a new object for every cell, and every
+    record's report, keyed by id, doubling as the duplicate check."""
+
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError("projects file is empty (header row required)") from None
+    if tuple(cell.strip() for cell in header) != registry.PROJECT_COLUMNS:
+        raise DataFormatError(
+            "unexpected projects header: expected exactly "
+            f"{','.join(registry.PROJECT_COLUMNS)}"
+        )
+    records: list[registry.ProjectRecord] = []
+    reports: dict[str, list[registry.Violation]] = {}
+    for row_number, row in enumerate(reader, start=2):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        if len(row) != len(registry.PROJECT_COLUMNS):
+            raise DataFormatError(
+                f"row {row_number}: expected {len(registry.PROJECT_COLUMNS)} columns, got {len(row)}"
+            )
+        record = _row_to_record(row, row_number)
+        if record.id in reports:
+            raise DataFormatError(f"row {row_number}: duplicate project id {shortened(record.id)}")
+        records.append(record)
+        reports[record.id] = registry.validate_record(record)
+    return records, reports
+
+
+def parse_project_records(source: Iterable[str] | IO[str]) -> list[registry.ProjectRecord]:
+    """The strict parse through the lenient one's full report table."""
+
+    records, reports = parse_project_records_lenient(source)
+    for record in records:
+        problems = reports[record.id]
+        if problems:
+            raise RecordConsistencyError("; ".join(v.message for v in problems))
+    return records

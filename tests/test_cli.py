@@ -356,6 +356,16 @@ def test_usage_errors_exit_1(table2_paths, tmp_path, capsys):
     assert code == 1
     assert "Traceback" not in err
     assert "is not UTF-8 text" in err
+    deep = tmp_path / ("d" * 200) / ("e" * 200)
+    deep.mkdir(parents=True)
+    long_config = str(deep / "latin1.conf")
+    Path(long_config).write_bytes(latin1.read_bytes())
+    code, _, err = run(capsys, "curve", *args, "--stage", "C", "--metric", "cost", "--config", long_config)
+    assert code == 1
+    assert err.splitlines()[-1] == (
+        f"Error: config file {long_config[:40]!r}... ({len(long_config)} characters) is not UTF-8 text"
+    )
+    assert max(len(line) for line in err.splitlines()) < 200
 
     a_file = tmp_path / "a_file"
     a_file.write_text("")
@@ -564,7 +574,7 @@ def test_lazy_exports_resolve_to_their_modules():
         refclass.no_such_name
 
 
-def test_data_errors_exit_2(table2_paths, tmp_path, capsys):
+def test_data_errors_exit_2(table2_paths, tmp_path, capsys, monkeypatch):
     code, _, err = run(
         capsys,
         "uplift",
@@ -599,16 +609,25 @@ def test_data_errors_exit_2(table2_paths, tmp_path, capsys):
 
     not_utf8 = tmp_path / "not_utf8.csv"
     not_utf8.write_bytes(b"year,index\n\xff\n")
+    deep = tmp_path / ("d" * 200) / ("e" * 200)
+    deep.mkdir(parents=True)
+    long_path = str(deep / "not_utf8.csv")
+    Path(long_path).write_bytes(not_utf8.read_bytes())
     projects, deflators = table2_paths["projects"], table2_paths["deflators"]
-    for files in (
-        ["--projects", str(not_utf8), "--deflators", deflators],
-        ["--projects", projects, "--deflators", str(not_utf8)],
-        ["--projects", projects, "--deflators", deflators, "--benchmark", str(not_utf8)],
-    ):
-        for command in ("benchmark", "check"):
-            code, _, err = run(capsys, command, *files, "--out", str(tmp_path / "out"))
-            assert code == 2, (command, files)
-            assert err == f"error: {not_utf8} is not UTF-8 text\n"
+    # A short path prints as it is; a long one shows its first 40 characters and its length.
+    monkeypatch.chdir(tmp_path)
+    for path, shown in [("not_utf8.csv", "not_utf8.csv"),
+                        (long_path, f"{long_path[:40]!r}... ({len(long_path)} characters)")]:
+        for files in (
+            ["--projects", path, "--deflators", deflators],
+            ["--projects", projects, "--deflators", path],
+            ["--projects", projects, "--deflators", deflators, "--benchmark", path],
+        ):
+            for command in ("benchmark", "check"):
+                code, _, err = run(capsys, command, *files, "--out", str(tmp_path / "out"))
+                assert code == 2, (command, files)
+                assert err == f"error: {shown} is not UTF-8 text\n"
+                assert len(err) < 200
 
     # A non-finite deflator index, in the base year or any other.
     for year in (1998, 2001):
@@ -916,14 +935,7 @@ def test_shipped_data_outputs_are_byte_stable(command, tmp_path, capsys):
     assert {p.name: sha256(p.read_bytes()).hexdigest() for p in written} == file_digests
 
 
-# Values a hand-edited file might hold in place of a good one.
-_HOSTILE_VALUES = [
-    "", " ", "x", "-1", "0", "1.5", "1e309", "-1e309", "nan", "inf", "-inf",
-    "99999999999999999999999", "2000-13-01", "1993-02-30", "0001-01-01", "9999-12-31",
-    "1997:", ":5", "1997:1;1997:2", "1997:-5", "a;b", "é", "\x00", "\ufeff", "0x10",
-    "1_000", "+5", "--help", "=", "9" * 400,
-]
-_hostile = st.one_of(st.sampled_from(_HOSTILE_VALUES), st.text(max_size=6))
+_hostile = st.one_of(st.sampled_from(corpus.HOSTILE_VALUES), st.text(max_size=6))
 # JSON tokens for one benchmark constant.
 _HOSTILE_JSON = ["null", "true", "false", '"0.2"', "-1", "0", "1e999", "-1e999", "NaN",
                  "Infinity", "1.5", "863.5", "[]", "{}", "1e-400", "99999999999999999999999"]

@@ -1,12 +1,14 @@
+import csv
 import io
 import json
 import string
 from datetime import date
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import corpus
+import oracles
 from refclass.errors import DataFormatError, DeflatorCoverageError, RecordConsistencyError
 from refclass.registry import (
     INTERNATIONAL_ROADS,
@@ -127,6 +129,146 @@ def test_duplicate_id_rejected():
     row = "p1,,,,,,,,,,,,,,,,,,,,2001-06-30,100,\n"
     with pytest.raises(DataFormatError, match="duplicate project id"):
         parse_text(HEADER + "\n" + row + row)
+
+
+# One consistent project; the tests below vary its cells. Its planned and
+# actual completion are the same date, and its first disbursement year is
+# its price-level year.
+_GOOD_ROW = dict.fromkeys(PROJECT_COLUMNS, "") | dict(
+    id="p1", date_c="1998-03-01", base_c="100000", cont_c="15000", approved_c="115000",
+    planned_completion_c="2001-06-30", price_level_year_c="1998", construction_start="1999-01-01",
+    actual_completion="2001-06-30", outturn_nominal="153000", disbursements="1998:80000;2001:73000",
+)
+
+
+def _registry_text(*rows: dict) -> str:
+    """A registry whose rows are ``_GOOD_ROW`` with each dict's cells changed."""
+
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(PROJECT_COLUMNS)
+    for changes in rows:
+        writer.writerow((_GOOD_ROW | changes).values())
+    return sink.getvalue()
+
+
+def test_one_parse_keeps_one_object_per_distinct_date_and_year():
+    text = _registry_text({}, {"id": "p2"})
+    first, second = parse_text(text)
+    c1, c2 = first.stages[Stage.C], second.stages[Stage.C]
+    assert c1.upgrade_date == c2.upgrade_date and c1.upgrade_date is c2.upgrade_date
+    assert first.actual_completion is c1.planned_completion is c2.planned_completion
+    assert c1.price_level_year is c2.price_level_year
+    # A disbursement year is the same object as an equal price-level year.
+    assert [year for year in first.disbursements if year == 1998][0] is c1.price_level_year
+    assert list(first.disbursements)[1] is list(second.disbursements)[1]
+
+    # Nothing is kept from one parse for the next.
+    (again, _), _ = parse_project_records_lenient(io.StringIO(text))
+    assert again == first
+    assert again.stages[Stage.C].upgrade_date is not c1.upgrade_date
+    assert again.actual_completion is not first.actual_completion
+    assert again.stages[Stage.C].price_level_year is not c1.price_level_year
+
+
+def test_strict_parse_reads_the_whole_file_before_it_reports_a_record():
+    inconsistent = {"approved_c": "120000"}
+    # A structural error in row 5 wins over an inconsistent record in row 2.
+    text = _registry_text(inconsistent, {"id": "p2"}, {"id": "p3"}, {"id": "p4", "date_c": "1998-02-30"})
+    with pytest.raises(DataFormatError) as excinfo:
+        parse_text(text)
+    assert type(excinfo.value) is DataFormatError
+    assert str(excinfo.value) == "row 5, column 'date_c': invalid ISO date '1998-02-30'"
+
+    # Of two inconsistent records, the first one's violations are raised.
+    text = _registry_text(inconsistent, {"id": "p2", "approved_c": "130000"})
+    (first, _), reports = parse_project_records_lenient(io.StringIO(text))
+    with pytest.raises(RecordConsistencyError) as excinfo:
+        parse_text(text)
+    assert str(excinfo.value) == "; ".join(v.message for v in reports["p1"])
+    assert str(excinfo.value).startswith("p1: Category C approved estimate 120000")
+
+    # A duplicate id after an inconsistent record is the duplicate-id error.
+    text = _registry_text(inconsistent, {"id": "p2"}, {"id": "p1"})
+    with pytest.raises(DataFormatError) as excinfo:
+        parse_text(text)
+    assert type(excinfo.value) is DataFormatError
+    assert str(excinfo.value) == "row 4: duplicate project id 'p1'"
+
+
+def _parse_outcome(parse, text: str):
+    """What ``parse`` returns on ``text``, or its exception's type and message."""
+
+    try:
+        return parse(io.StringIO(text))
+    except Exception as exc:  # the oracle must raise the same, whatever it is
+        return type(exc), str(exc)
+
+
+# Cell texts for generated registries: few enough that they repeat, and
+# mostly consistent, so that many records pass the strict parse.
+_STAGE_DATES = {"c": ["1995-07-01", "1996-03-15"], "b": ["1996-03-15", "1997-01-01"],
+                "a": ["1997-01-01", "1998-02-01", ""]}
+_CELL_TEXTS = {
+    **{f"date_{stage}": dates for stage, dates in _STAGE_DATES.items()},
+    **{f"{kind}_{stage}": [text, ""] for stage in "cba"
+       for kind, text in (("base", "100"), ("cont", "10"), ("approved", "110"))},
+    **{f"planned_completion_{stage}": ["2003-06-30", "2004-01-01"] for stage in "cba"},
+    **{f"price_level_year_{stage}": ["1995", "1996", ""] for stage in "cba"},
+    "construction_start": ["1998-02-01", "1999-01-01", ""],
+    "actual_completion": ["2004-01-01", "2005-12-31"],
+    "outturn_nominal": ["150"],
+    "disbursements": ["", "2001:150", "2000:100;2001:50"],
+}
+
+
+def _columns(*prefixes: str) -> list[int]:
+    return [i for i, name in enumerate(PROJECT_COLUMNS) if name.startswith(prefixes)]
+
+
+def _texts(*columns: str) -> list[str]:
+    return sorted({text for column in columns for text in _CELL_TEXTS[column] if text})
+
+
+# A corrupted cell holds a hostile value or an id, or a year's text in a
+# date column, or a date's text in a year column: texts that valid cells
+# of the other kind hold too (2001 is a disbursement year).
+_corruptions = st.one_of(
+    st.tuples(st.integers(0, len(PROJECT_COLUMNS) - 1),
+              st.sampled_from(corpus.HOSTILE_VALUES + ["p0", "p1", "19950701", "1995-07"])),
+    st.tuples(st.sampled_from(_columns("date_", "planned_", "construction_", "actual_")),
+              st.sampled_from(_texts("price_level_year_c") + ["2001"])),
+    st.tuples(st.sampled_from(_columns("price_level_year_")),
+              st.sampled_from(_texts("date_c", "date_b", "date_a", "actual_completion"))),
+)
+
+
+@st.composite
+def _generated_registries(draw) -> str:
+    rows = [
+        [f"p{i}"] + [draw(st.sampled_from(_CELL_TEXTS[name])) for name in PROJECT_COLUMNS[1:]]
+        for i in range(draw(st.integers(0, 5)))
+    ]
+    if rows:
+        for _ in range(draw(st.integers(0, 3))):
+            column, text = draw(_corruptions)
+            rows[draw(st.integers(0, len(rows) - 1))][column] = text
+    sink = io.StringIO()
+    csv.writer(sink, lineterminator="\n").writerows([PROJECT_COLUMNS, *rows])
+    return sink.getvalue()
+
+
+# Valid cells, then the same text in a column of the other kind.
+@example(_registry_text({}, {"id": "p2", "date_c": "1998"}))
+@example(_registry_text({}, {"id": "p2", "price_level_year_c": "1998-03-01"}))
+@example(_registry_text({"price_level_year_b": "2001-06-30"}))
+@example(_registry_text({"construction_start": "1998"}))
+@given(_generated_registries())
+def test_parse_matches_the_parse_without_shared_values(text):
+    assert _parse_outcome(parse_project_records_lenient, text) == _parse_outcome(
+        oracles.parse_project_records_lenient, text
+    )
+    assert _parse_outcome(parse_project_records, text) == _parse_outcome(oracles.parse_project_records, text)
 
 
 def test_money_cells_must_be_plain_integers():
