@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from typing import IO, Mapping, Sequence
 
 from .reference_class import ReferenceClass
-from .registry import BenchmarkConstants, Metric, ProjectRecord, Stage
+from .registry import DAYS_PER_YEAR, BenchmarkConstants, Metric, ProjectRecord, Stage
 from .stats import DescriptiveStats, TestResult, descriptive_stats, mann_whitney_u, proportion_test
 
 DEFAULT_MAPPING_NOTE = (
@@ -25,8 +25,6 @@ DEFAULT_MAPPING_NOTE = (
 )
 
 TEST_NAMES = {"mean": "mann-whitney-u", "frequency": "fisher-exact"}
-
-DAYS_PER_YEAR = 365.25
 
 
 @dataclass(frozen=True, slots=True)

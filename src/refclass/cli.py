@@ -26,7 +26,8 @@ import click
 # Only what the option definitions need is imported here. Each command
 # imports the modules it runs, so no command loads another command's modules.
 from .errors import DataFormatError, EmptyClassError, NonMonotoneCurveError, RefclassError, shortened
-from .registry import DEFAULT_ERA_CUTOFF, DEFAULT_MIN_OUTTURN, DEFAULT_P_LEVELS, MAX_MONEY
+from .registry import DEFAULT_DEGREE, DEFAULT_ERA_CUTOFF, DEFAULT_GRID_STEP, DEFAULT_METHOD, DEFAULT_MIN_OUTTURN
+from .registry import DEFAULT_P_LEVELS, DEFAULT_SPAN, DEFAULT_TIERS, INTERNATIONAL_ROADS, MAX_MONEY
 from .registry import Metric, QuantileMethod, Stage
 
 
@@ -112,11 +113,11 @@ _SETTINGS: dict[str, dict] = {
     "min_outturn": dict(type=_IntRange(max=MAX_MONEY), default=DEFAULT_MIN_OUTTURN,
                         help="Smallest outturn (HKD thousands) admitted to a class."),
     "method": dict(type=_Choice(QuantileMethod, case_sensitive=False),
-                   default=str(QuantileMethod.INTERPOLATED), help="Quantile convention (default interp)."),
-    "span": dict(type=_FloatRange(0, 1, min_open=True), default=0.75,
+                   default=str(DEFAULT_METHOD), help=f"Quantile convention (default {DEFAULT_METHOD})."),
+    "span": dict(type=_FloatRange(0, 1, min_open=True), default=DEFAULT_SPAN,
                  help="Loess span fraction."),
-    "degree": dict(type=_IntRange(1, 2), default=2, help="Loess degree."),
-    "grid_step": dict(type=_FloatRange(0, 0.99, min_open=True), default=0.01,
+    "degree": dict(type=_IntRange(1, 2), default=DEFAULT_DEGREE, help="Loess degree."),
+    "grid_step": dict(type=_FloatRange(0, 0.99, min_open=True), default=DEFAULT_GRID_STEP,
                       help="Certainty grid step."),
     "out": dict(type=click.Path(file_okay=False), default="out", metavar="DIRECTORY",
                 help="Output directory (default ./out)."),
@@ -184,10 +185,10 @@ def _parse_p_list(_ctx, _param, value):
 
 
 def _parse_scheme(_ctx, _param, value):
-    from .contingency import TierScheme
+    from .contingency import DEFAULT_TIER_SCHEME, TierScheme
 
     if value is None:
-        return None
+        return DEFAULT_TIER_SCHEME
     tiers = []
     for token in value.split(","):
         name, sep, certainty = token.strip().partition(":")
@@ -322,6 +323,8 @@ def _emit(out: str, filename: str, text: str, echo: bool = True) -> None:
 def cmd_overruns(stage: Stage, metric: Metric, projects, deflators, era_cutoff, out) -> None:
     """Normalized overrun observations for one stage and metric."""
 
+    from .formatting import yes_no
+
     _, observations = _observations(projects, deflators, era_cutoff)
     selected = [o for o in observations if o.stage is stage and o.metric is metric]
     buffer = io.StringIO()
@@ -329,7 +332,7 @@ def cmd_overruns(stage: Stage, metric: Metric, projects, deflators, era_cutoff, 
     for o in selected:
         buffer.write(
             f"{o.project_id},{o.stage},{o.metric},{o.value:.6f},"
-            f"{o.reference_date.isoformat()},{'yes' if o.pre_era else 'no'},{o.outturn_nominal}\n"
+            f"{o.reference_date.isoformat()},{yes_no(o.pre_era)},{o.outturn_nominal}\n"
         )
     _emit(out, f"overruns_{stage}_{metric}.csv", buffer.getvalue())
 
@@ -375,7 +378,7 @@ def cmd_validate(stage: Stage, metric: Metric, levels, projects, deflators, era_
                  method: QuantileMethod, out) -> None:
     """Leave-one-out check: would the uplift have covered each project?"""
 
-    from .formatting import certainty_percent, round_half_away
+    from .formatting import level_token, round_half_away
     from .validation import leave_one_out, loov_summary, write_loov_csv
 
     reference = _reference_class(projects, deflators, era_cutoff, stage, metric, min_outturn)
@@ -386,7 +389,7 @@ def cmd_validate(stage: Stage, metric: Metric, levels, projects, deflators, era_
     for p in sorted(set(levels)):
         summary = loov_summary(rows, p)
         click.echo(
-            f"# p{certainty_percent(p)}: {summary.hits}/{summary.n} prevented "
+            f"# {level_token(p)}: {summary.hits}/{summary.n} prevented "
             f"({round_half_away(summary.rate * 100):d}%)"
         )
 
@@ -394,7 +397,7 @@ def cmd_validate(stage: Stage, metric: Metric, levels, projects, deflators, era_
 @cli.command("benchmark")
 @_settings("projects", "deflators", "benchmark", "era_cutoff", "min_outturn", "out")
 @click.option("--benchmark-label", type=str, default=None,
-              help="Which label to use from the benchmark file (default: international-roads, else first).")
+              help=f"Which label to use from the benchmark file (default: {INTERNATIONAL_ROADS.label}, else first).")
 def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, min_outturn,
                   out) -> None:
     """Descriptive comparison of every class against benchmark constants."""
@@ -417,20 +420,15 @@ def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, m
     if not classes:
         raise EmptyClassError("no reference class has any observations")
 
-    constants = None
-    available = None if benchmark is None else _parse_file(benchmark, parse_benchmark_constants)
-    if available:
-        if benchmark_label is not None:
-            if benchmark_label not in available:
-                raise click.UsageError(
-                    f"label {shortened(benchmark_label)} not in benchmark file "
-                    f"(has: {', '.join(sorted(available))})"
-                )
-            constants = available[benchmark_label]
-        elif "international-roads" in available:
-            constants = available["international-roads"]
-        else:
-            constants = available[sorted(available)[0]]
+    available = {} if benchmark is None else _parse_file(benchmark, parse_benchmark_constants)
+    if benchmark_label is None:
+        default = INTERNATIONAL_ROADS.label
+        benchmark_label = default if default in available else min(available, default=None)
+    elif benchmark_label not in available:
+        _required(benchmark, "benchmark")
+        raise click.UsageError(f"label {shortened(benchmark_label)} not in benchmark file "
+                               f"(has: {', '.join(sorted(available)) or 'no labels'})")
+    constants = available.get(benchmark_label)
 
     breakdown_rows, aggregate = phase_breakdown(records)
     durations = None
@@ -465,7 +463,7 @@ def cmd_curve(stage: Stage, metric: Metric, projects, deflators, era_cutoff, min
     buffer.write("p,uplift_raw,uplift_smoothed,ci_low,ci_high\n")
     for (p, raw_value), (_, fit, lo, hi) in zip(smoothed.points, smoothed.smoothed):
         buffer.write(f"{certainty_text(p)},{raw_value:.6f},{fit:.6f},{lo:.6f},{hi:.6f}\n")
-    svg = curve_svg(smoothed, markers=(0.5, 0.8), title=f"uplift curve: Category {stage}, {metric}")
+    svg = curve_svg(smoothed, title=f"uplift curve: Category {stage}, {metric}")
     _emit(out, f"curve_{stage}_{metric}.svg", svg, echo=False)
     _emit(out, f"curve_{stage}_{metric}.csv", buffer.getvalue())
 
@@ -477,24 +475,23 @@ def cmd_curve(stage: Stage, metric: Metric, projects, deflators, era_cutoff, min
 @click.option("--base", type=_IntRange(1, MAX_MONEY), required=True,
               help="Base estimate (HKD thousands).")
 @click.option("--scheme", type=str, default=None, callback=_parse_scheme,
-              help="Tiers as name:certainty,... (default contract:0.55,project:0.60,portfolio:0.80).")
+              help=f"Tiers as name:certainty,... (default {','.join(f'{n}:{p:.2f}' for n, p in DEFAULT_TIERS)}).")
 @click.option("--no-isotonic", is_flag=True,
               help="Skip the monotone adjustment of the smoothed curve (may fail with exit 4).")
 def cmd_tiers(stage: Stage, metric: Metric, base: int, scheme, no_isotonic: bool, projects, deflators,
               era_cutoff, min_outturn, method: QuantileMethod, span, degree, grid_step, out) -> None:
     """Tiered contingency allocation along the smoothed uplift curve."""
 
-    from .contingency import DEFAULT_TIER_SCHEME, tier_allocation, write_allocation_json
+    from .contingency import tier_allocation, write_allocation_json
 
-    tier_scheme = scheme if scheme is not None else DEFAULT_TIER_SCHEME
     grid = _curve_grid(
-        grid_step, degree, [certainty for _, certainty in tier_scheme.tiers], "--scheme"
+        grid_step, degree, [certainty for _, certainty in scheme.tiers], "--scheme"
     )
     reference = _reference_class(projects, deflators, era_cutoff, stage, metric, min_outturn)
     curve = _smoothed_curve(reference, grid, method, span, degree, isotonic=not no_isotonic)
 
     buffer = io.StringIO()
-    write_allocation_json(tier_allocation(base, curve, tier_scheme), buffer)
+    write_allocation_json(tier_allocation(base, curve, scheme), buffer)
     _emit(out, f"tiers_{stage}_{metric}.json", buffer.getvalue())
 
 

@@ -16,6 +16,7 @@ from typing import IO, Sequence
 from .errors import shortened
 from .formatting import round_half_away
 from .reference_class import QuantileMethod, ReferenceClass, UpliftCurve, require_monotone, uplift
+from .registry import DEFAULT_METHOD, DEFAULT_TIERS
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,14 +44,9 @@ class TierScheme:
             previous = certainty
 
 
-#: Delegation guidance puts the contract tier somewhere between P50 and P55;
-#: the preset pins the top of that range.
 SCHEME_NOTE = "contract tier pinned at P55, the top of the P50-P55 delegation range"
 
-DEFAULT_TIER_SCHEME = TierScheme(
-    tiers=(("contract", 0.55), ("project", 0.60), ("portfolio", 0.80)),
-    note=SCHEME_NOTE,
-)
+DEFAULT_TIER_SCHEME = TierScheme(tiers=DEFAULT_TIERS, note=SCHEME_NOTE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,7 +74,7 @@ def debias_estimate(
     base_estimate: int,
     reference: ReferenceClass,
     p: float,
-    method: QuantileMethod = QuantileMethod.INTERPOLATED,
+    method: QuantileMethod = DEFAULT_METHOD,
 ) -> int:
     """Base estimate lifted to certainty p, in whole HKD thousands."""
 
@@ -142,7 +138,7 @@ def portfolio_pool(
     reference: ReferenceClass,
     project_p: float,
     portfolio_p: float,
-    method: QuantileMethod = QuantileMethod.INTERPOLATED,
+    method: QuantileMethod = DEFAULT_METHOD,
 ) -> PortfolioPool:
     """Fund each project at project_p and hold the gap up to portfolio_p
     centrally. A plain sum of gaps: no portfolio diversification is

@@ -45,3 +45,7 @@ def certainty_percent(p: float) -> str:
     if _on_percent_grid(p):
         return f"{round(p * 100):d}"
     return format(Decimal(repr(p)).scaleb(2).normalize(), "f")
+
+
+def level_token(p: float) -> str:
+    return f"p{certainty_percent(p)}"

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .formatting import certainty_percent, signed_percent
 from .reference_class import UpliftCurve
+from .registry import DEFAULT_P_LEVELS
 
 _WIDTH = 720
 _HEIGHT = 440
@@ -50,7 +51,7 @@ def _nice_step(span: float, target_ticks: int = 6) -> float:
 
 def curve_svg(
     curve: UpliftCurve,
-    markers: Sequence[float] = (0.5, 0.8),
+    markers: Sequence[float] = DEFAULT_P_LEVELS,
     title: str = "uplift curve",
 ) -> str:
     """Render the curve to an SVG document string."""

@@ -24,7 +24,8 @@ from typing import Iterable, Sequence
 
 from .errors import EmptyClassError, InsufficientDataError, NonMonotoneCurveError
 from .normalization import OverrunObservation
-from .registry import DEFAULT_ERA_CUTOFF, DEFAULT_MIN_OUTTURN, Metric, QuantileMethod, Stage
+from .registry import DEFAULT_DEGREE, DEFAULT_ERA_CUTOFF, DEFAULT_GRID_STEP, DEFAULT_METHOD, DEFAULT_MIN_OUTTURN
+from .registry import DEFAULT_SPAN, Metric, QuantileMethod, Stage
 from .stats import TestResult, mann_whitney_u
 
 # The loess fit and the isotonic repair import .smoothing, and numpy with
@@ -176,7 +177,7 @@ def build_class(
 def uplift(
     reference: ReferenceClass,
     p: float,
-    method: QuantileMethod = QuantileMethod.INTERPOLATED,
+    method: QuantileMethod = DEFAULT_METHOD,
 ) -> float:
     """Uplift at certainty p: accept a 1 - p chance of still overrunning."""
 
@@ -188,9 +189,9 @@ def uplift(
 def required_certainty(
     reference: ReferenceClass,
     uplift_value: float,
-    method: QuantileMethod = QuantileMethod.INTERPOLATED,
+    method: QuantileMethod = DEFAULT_METHOD,
 ) -> float:
-    """Largest certainty (on a 0.01 grid) a given uplift already buys.
+    """Largest certainty on the default probability grid a given uplift already buys.
 
     Zero when the uplift sits below the whole distribution. A small
     absolute tolerance absorbs float noise at grid boundaries.
@@ -199,14 +200,13 @@ def required_certainty(
     if reference.is_empty:
         raise EmptyClassError("cannot invert an empty reference class")
     best = 0.0
-    for i in range(1, 101):
-        p = i / 100
+    for p in default_probability_grid():
         if uplift(reference, p, method) <= uplift_value + _GRID_EPS:
             best = p
     return best
 
 
-def default_probability_grid(step: float = 0.01) -> tuple[float, ...]:
+def default_probability_grid(step: float = DEFAULT_GRID_STEP) -> tuple[float, ...]:
     """Certainty grid for curve export: step increments up to 0.99, plus 1."""
 
     if not 0.0 < step <= 0.99:
@@ -265,7 +265,7 @@ class UpliftCurve:
 def uplift_curve(
     reference: ReferenceClass,
     grid: Sequence[float] | None = None,
-    method: QuantileMethod = QuantileMethod.INTERPOLATED,
+    method: QuantileMethod = DEFAULT_METHOD,
 ) -> UpliftCurve:
     if reference.is_empty:
         raise EmptyClassError("cannot build a curve from an empty reference class")
@@ -279,7 +279,7 @@ def uplift_curve(
     return UpliftCurve(points=points, method=method, smoothed=None, monotone=True)
 
 
-def smooth_curve(curve: UpliftCurve, span: float = 0.75, degree: int = 2) -> UpliftCurve:
+def smooth_curve(curve: UpliftCurve, span: float = DEFAULT_SPAN, degree: int = DEFAULT_DEGREE) -> UpliftCurve:
     """Attach a loess fit over the raw quantile points.
 
     The fit is not forced monotone here; run :func:`isotonic_adjust` before
@@ -344,8 +344,8 @@ class TrendShift:
 def trend_by_date(
     observations: Iterable[OverrunObservation],
     cutoff: date = DEFAULT_ERA_CUTOFF,
-    span: float = 0.75,
-    degree: int = 2,
+    span: float = DEFAULT_SPAN,
+    degree: int = DEFAULT_DEGREE,
 ) -> tuple[list[TrendPoint], TrendShift]:
     """Loess trend of overruns over their reference dates, plus a
     rank-tested before/after comparison at the cutoff."""

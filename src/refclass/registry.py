@@ -7,8 +7,8 @@ Three file-backed inputs feed the toolkit:
 * ``deflators.csv`` -- a contiguous year -> price-index series.
 * ``benchmark.json`` -- published summary constants for external comparison.
 
-The enums the command line offers as choices live here too, so its options
-are built without loading an analysis module.
+The enums the command line offers as choices, and every option default, live
+here too, so its options are built without loading an analysis module.
 
 Money is carried as integer thousands of HKD exactly as ingested; fractional
 money appears only in derived figures downstream.
@@ -36,19 +36,7 @@ CONSISTENCY_TOLERANCE = 0.005
 #: float holds exactly, so the ratio and tolerance checks stay exact.
 MAX_MONEY = 2**53
 
-# The option defaults live here, in the module every command loads, and are
-# re-exported by the modules that apply them.
-
-#: Estimates approved on or after this date follow the tightened procedure;
-#: earlier projects are excluded from reference classes by default.
-DEFAULT_ERA_CUTOFF = date(1993, 7, 1)
-
-#: Default outturn threshold for class membership: HKD 100 million, in
-#: integer HKD thousands.
-DEFAULT_MIN_OUTTURN = 100_000
-
-#: Certainty levels reported when none are named.
-DEFAULT_P_LEVELS = (0.5, 0.8)
+DAYS_PER_YEAR = 365.25
 
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9_.-]+$")
 _INT_PATTERN = re.compile(r"^[+-]?[0-9]+$")
@@ -83,15 +71,34 @@ class QuantileMethod(enum.Enum):
     INF = "inf"
     INTERPOLATED = "interp"
 
-    @classmethod
-    def from_token(cls, token: str) -> "QuantileMethod":
-        try:
-            return cls(token.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown quantile method {token!r}, expected inf or interp") from None
-
     def __str__(self) -> str:
         return self.value
+
+
+# The option defaults: the command line and the modules that apply them read these.
+
+#: Estimates approved on or after this date follow the tightened procedure;
+#: earlier projects are excluded from reference classes by default.
+DEFAULT_ERA_CUTOFF = date(1993, 7, 1)
+
+#: Default outturn threshold for class membership: HKD 100 million, in
+#: integer HKD thousands.
+DEFAULT_MIN_OUTTURN = 100_000
+
+#: Certainty levels reported when none are named.
+DEFAULT_P_LEVELS = (0.5, 0.8)
+
+#: The quantile convention; published uplift tables round to it.
+DEFAULT_METHOD = QuantileMethod.INTERPOLATED
+
+#: Loess span fraction and degree, and the step of an uplift curve's certainty grid.
+DEFAULT_SPAN = 0.75
+DEFAULT_DEGREE = 2
+DEFAULT_GRID_STEP = 0.01
+
+#: Contingency tiers as (name, certainty). Delegation guidance puts the contract
+#: tier between P50 and P55; the preset pins the top of that range.
+DEFAULT_TIERS = (("contract", 0.55), ("project", 0.60), ("portfolio", 0.80))
 
 
 @dataclass(frozen=True, slots=True)
@@ -657,7 +664,7 @@ def construction_period(record: ProjectRecord) -> tuple[int, int] | None:
     days = (record.actual_completion - start).days
     if days <= 0:
         return None
-    return start.year, min(10, max(1, round(days / 365.25)))
+    return start.year, min(10, max(1, round(days / DAYS_PER_YEAR)))
 
 
 def has_cost_data(record: ProjectRecord, stage: Stage) -> bool:

@@ -56,6 +56,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
+from .registry import DEFAULT_DEGREE, DEFAULT_SPAN
 
 _Z_95 = 1.96
 
@@ -81,8 +82,8 @@ _DIRECT_MAX_POINTS = 128
 
 def loess_smooth(
     points: Sequence[tuple[float, float]],
-    span: float = 0.75,
-    degree: int = 2,
+    span: float = DEFAULT_SPAN,
+    degree: int = DEFAULT_DEGREE,
 ) -> list[tuple[float, float, float, float]]:
     """Smooth (x, y) points, returning (x, fit, ci_low, ci_high) per point
     in ascending x order.

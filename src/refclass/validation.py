@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .errors import InsufficientDataError
-from .formatting import certainty_percent, signed_percent, yes_no
+from .formatting import level_token, signed_percent, yes_no
 from .reference_class import QuantileMethod, ReferenceClass, empirical_quantile, rank_position
-from .registry import DEFAULT_P_LEVELS
+from .registry import DEFAULT_METHOD, DEFAULT_P_LEVELS
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +54,7 @@ class LoovSummary:
 def leave_one_out(
     reference: ReferenceClass,
     p_levels: Sequence[float] = DEFAULT_P_LEVELS,
-    method: QuantileMethod = QuantileMethod.INTERPOLATED,
+    method: QuantileMethod = DEFAULT_METHOD,
 ) -> list[LoovRow]:
     """One row per class member, in class input order."""
 
@@ -109,10 +109,6 @@ def loov_summary(rows: Sequence[LoovRow], p_level: float) -> LoovSummary:
     return LoovSummary(p_level=p_level, hits=hits, n=len(rows), rate=hits / len(rows))
 
 
-def _level_token(p: float) -> str:
-    return f"p{certainty_percent(p)}"
-
-
 def write_loov_csv(rows: Sequence[LoovRow], sink: IO[str]) -> None:
     """CSV report; uplifts and actuals appear as whole percentages, the way
     they are read in review meetings, while the prevented flags were decided
@@ -122,9 +118,9 @@ def write_loov_csv(rows: Sequence[LoovRow], sink: IO[str]) -> None:
         raise ValueError("no rows to write")
     levels = sorted(rows[0].uplift_at)
     header = ["project"]
-    header += [f"{_level_token(p)}_uplift" for p in levels]
+    header += [f"{level_token(p)}_uplift" for p in levels]
     header += ["actual"]
-    header += [f"{_level_token(p)}_prevented" for p in levels]
+    header += [f"{level_token(p)}_prevented" for p in levels]
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(header)
     for row in rows:

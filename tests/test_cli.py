@@ -245,6 +245,38 @@ def test_benchmark_command(demo_paths, tmp_path, capsys):
     assert (out / "benchmark.csv").read_text() == stdout
 
 
+def test_benchmark_label_names_an_entry_or_exits_1(demo_paths, tmp_path, capsys):
+    roads = json.loads(corpus.BENCHMARK_JSON)["international-roads"]
+    files = {}
+    for name, labels in {"empty": [], "two": ["aaa", "international-roads"], "other": ["zeta", "alpha"]}.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps({label: {**roads, "n_projects": i + 1} for i, label in enumerate(labels)}))
+
+    def chosen(*argv):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "benchmark", *base_args(demo_paths, out), *argv)
+        assert code == 0, err
+        return json.loads((out / "benchmark.json").read_text())["benchmark"]
+
+    # Without a label: international-roads where the file has it, else the first label in sorted order.
+    assert chosen("--benchmark", str(files["two"]))["label"] == "international-roads"
+    assert chosen("--benchmark", str(files["other"])) == {**roads, "label": "alpha", "n_projects": 2}
+    assert chosen("--benchmark", str(files["two"]), "--benchmark-label", "aaa") == {
+        **roads, "label": "aaa", "n_projects": 1}
+    assert chosen("--benchmark", str(files["empty"])) is None
+
+    # A label that names no entry is a usage error, whatever the file holds.
+    for given, message in [
+        ([], "no benchmark file given (use --benchmark or a config file)"),
+        (["--benchmark", str(files["empty"])], "label 'nosuch' not in benchmark file (has: no labels)"),
+        (["--benchmark", str(files["other"])], "label 'nosuch' not in benchmark file (has: alpha, zeta)"),
+    ]:
+        code, stdout, err = run(capsys, "benchmark", *base_args(demo_paths, tmp_path / "out"), *given,
+                                "--benchmark-label", "nosuch")
+        assert (code, stdout) == (1, ""), given
+        assert err.splitlines()[-1] == f"Error: {message}"
+
+
 def test_check_clean_registry(table2_paths, tmp_path, capsys):
     code, stdout, _ = run(capsys, "check", "--projects", table2_paths["projects"])
     assert code == 0
@@ -556,6 +588,45 @@ def test_each_command_takes_only_the_settings_it_reads(command, tmp_path, capsys
     config = tmp_path / "defaults.conf"
     config.write_text("".join(f"{key} = {value}\n" for key, value in {**files, **defaults}.items()))
     assert run(capsys, *argv, "--config", str(config))[:2] == (0, stdout)
+
+
+# Per analysis setting: the registry default it must equal, the names of
+# the library parameters that apply it, and the public functions that take
+# one of those parameters with a default.
+_LIBRARY_DEFAULTS = {
+    "era_cutoff": ("DEFAULT_ERA_CUTOFF", {"era_cutoff", "cutoff"}, {
+        "normalization.derive_observations", "normalization.derive_all_observations",
+        "reference_class.trend_by_date"}),
+    "min_outturn": ("DEFAULT_MIN_OUTTURN", {"min_outturn"}, {"reference_class.ClassFilter"}),
+    "method": ("DEFAULT_METHOD", {"method"}, {
+        "reference_class.uplift", "reference_class.required_certainty", "reference_class.uplift_curve",
+        "validation.leave_one_out", "contingency.debias_estimate", "contingency.portfolio_pool"}),
+    "span": ("DEFAULT_SPAN", {"span"}, {
+        "reference_class.smooth_curve", "reference_class.trend_by_date", "smoothing.loess_smooth"}),
+    "degree": ("DEFAULT_DEGREE", {"degree"}, {
+        "reference_class.smooth_curve", "reference_class.trend_by_date", "smoothing.loess_smooth"}),
+    "grid_step": ("DEFAULT_GRID_STEP", {"step"}, {"reference_class.default_probability_grid"}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_LIBRARY_DEFAULTS))
+def test_cli_and_library_defaults_agree(key):
+    assert set(_LIBRARY_DEFAULTS) == _ANALYSIS
+    constant, parameter_names, expected = _LIBRARY_DEFAULTS[key]
+    default = getattr(import_module("refclass.registry"), constant)
+    setting = _SETTINGS[key]
+    assert setting["type"].convert(setting["default"], None, None) == default
+    applied = set()
+    for module_name in ("reference_class", "smoothing", "validation", "contingency", "normalization"):
+        module = import_module(f"refclass.{module_name}")
+        for name, value in vars(module).items():
+            if name.startswith("_") or not callable(value) or value.__module__ != module.__name__:
+                continue
+            for parameter in inspect.signature(value).parameters.values():
+                if parameter.name in parameter_names and parameter.default is not parameter.empty:
+                    assert parameter.default == default, (name, parameter.name)
+                    applied.add(f"{module_name}.{name}")
+    assert applied == expected
 
 
 def test_lazy_exports_resolve_to_their_modules():

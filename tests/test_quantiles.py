@@ -80,13 +80,6 @@ def test_out_of_range_p_rejected(p):
         empirical_quantile((1.0, 2.0), p, INTERP)
 
 
-def test_method_tokens():
-    assert QuantileMethod.from_token("inf") is INF
-    assert QuantileMethod.from_token(" INTERP ") is INTERP
-    with pytest.raises(ValueError):
-        QuantileMethod.from_token("nearest")
-
-
 def test_inf_matches_ecdf_scan_on_small_subsets():
     pool = (-0.52, -0.33, -0.07, 0.01, 0.14, 0.18, 0.31, 0.43, 0.52, 0.68)
     grid = [round(0.05 * i, 2) for i in range(1, 21)]
