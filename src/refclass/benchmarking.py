@@ -62,9 +62,6 @@ def benchmark_report(
     it against the benchmark (rank test for the mean, exact test for the
     overrun frequency)."""
 
-    if not classes:
-        raise ValueError("at least one reference class is required")
-
     rows: list[BenchmarkRow] = []
     for stage, metric in sorted(classes, key=lambda key: (key[0], key[1].value)):
         source = classes[(stage, metric)]
@@ -92,7 +89,7 @@ def benchmark_report(
             )
         )
     if not rows:
-        raise ValueError("every supplied class was empty")
+        raise ValueError("no reference class has any observations")
 
     mean_duration = None
     if durations_years:

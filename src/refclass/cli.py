@@ -27,8 +27,8 @@ import click
 # imports the modules it runs, so no command loads another command's modules.
 from .errors import DataFormatError, EmptyClassError, NonMonotoneCurveError, RefclassError, shortened
 from .registry import DEFAULT_DEGREE, DEFAULT_ERA_CUTOFF, DEFAULT_GRID_STEP, DEFAULT_METHOD, DEFAULT_MIN_OUTTURN
-from .registry import DEFAULT_P_LEVELS, DEFAULT_SPAN, DEFAULT_TIERS, INTERNATIONAL_ROADS, MAX_MONEY
-from .registry import Metric, QuantileMethod, Stage
+from .registry import DEFAULT_P_LEVELS, DEFAULT_SPAN, DEFAULT_TIERS, INTERNATIONAL_ROADS, LOESS_MIN_POINTS
+from .registry import MAX_GRID_STEP, MAX_MONEY, MIN_GRID_STEP, Metric, QuantileMethod, Stage
 
 
 class _OptionType(click.ParamType):
@@ -100,6 +100,8 @@ class _Choice(_OptionType, click.Choice):
         return self.values[super().convert(value, param, ctx)]
 
 
+_DEFAULT_OUT = "out"
+
 #: The settings, keyed by config-file key; each is also the option ``--<key>``
 #: (``-`` for ``_``) of each command that takes it. A config-file value reaches
 #: the command through click's default map, so it is parsed and validated by
@@ -116,11 +118,12 @@ _SETTINGS: dict[str, dict] = {
                    default=str(DEFAULT_METHOD), help=f"Quantile convention (default {DEFAULT_METHOD})."),
     "span": dict(type=_FloatRange(0, 1, min_open=True), default=DEFAULT_SPAN,
                  help="Loess span fraction."),
-    "degree": dict(type=_IntRange(1, 2), default=DEFAULT_DEGREE, help="Loess degree."),
-    "grid_step": dict(type=_FloatRange(0, 0.99, min_open=True), default=DEFAULT_GRID_STEP,
+    "degree": dict(type=_IntRange(min(LOESS_MIN_POINTS), max(LOESS_MIN_POINTS)), default=DEFAULT_DEGREE,
+                   help="Loess degree."),
+    "grid_step": dict(type=_FloatRange(MIN_GRID_STEP, MAX_GRID_STEP), default=DEFAULT_GRID_STEP,
                       help="Certainty grid step."),
-    "out": dict(type=click.Path(file_okay=False), default="out", metavar="DIRECTORY",
-                help="Output directory (default ./out)."),
+    "out": dict(type=click.Path(file_okay=False), default=_DEFAULT_OUT, metavar="DIRECTORY",
+                help=f"Output directory (default ./{_DEFAULT_OUT})."),
 }
 #: Every command takes these, so that one config file serves all commands.
 _FILE_SETTINGS = ("projects", "deflators", "benchmark", "out")
@@ -179,8 +182,6 @@ def _parse_p_list(_ctx, _param, value):
         if not 0.0 < p <= 1.0:
             raise click.UsageError(f"certainty {p} in --p outside (0, 1]")
         levels.append(p)
-    if not levels:
-        raise click.UsageError("--p names no certainty levels")
     return tuple(levels)
 
 
@@ -285,10 +286,10 @@ def _curve_grid(grid_step: float, degree: int, levels=(), option: str = "") -> t
     from .reference_class import default_probability_grid
 
     grid = default_probability_grid(grid_step)
-    if len(grid) < degree + 2:
+    if len(grid) < LOESS_MIN_POINTS[degree]:
         raise click.UsageError(
             f"--grid-step {grid_step} leaves {len(grid)} grid points; "
-            f"a loess fit of degree {degree} needs at least {degree + 2}"
+            f"a loess fit of degree {degree} needs at least {LOESS_MIN_POINTS[degree]}"
         )
     if levels and min(levels) < grid[0]:
         raise click.UsageError(
@@ -406,20 +407,8 @@ def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, m
     from .reference_class import ClassFilter, build_class
     from .registry import parse_benchmark_constants
 
-    records, observations = _observations(projects, deflators, era_cutoff)
-
-    classes = {}
-    for stage in Stage:
-        for metric in Metric:
-            reference = build_class(
-                observations,
-                ClassFilter(stage=stage, metric=metric, min_outturn=min_outturn),
-            )
-            if not reference.is_empty:
-                classes[(stage, metric)] = reference
-    if not classes:
-        raise EmptyClassError("no reference class has any observations")
-
+    # A missing input file, then the label, before any registry error.
+    projects, deflators = _required(projects, "projects"), _required(deflators, "deflators")
     available = {} if benchmark is None else _parse_file(benchmark, parse_benchmark_constants)
     if benchmark_label is None:
         default = INTERNATIONAL_ROADS.label
@@ -429,6 +418,16 @@ def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, m
         raise click.UsageError(f"label {shortened(benchmark_label)} not in benchmark file "
                                f"(has: {', '.join(sorted(available)) or 'no labels'})")
     constants = available.get(benchmark_label)
+
+    records, observations = _observations(projects, deflators, era_cutoff)
+    # The report leaves out an empty class itself.
+    classes = {
+        (stage, metric): build_class(observations, ClassFilter(stage=stage, metric=metric, min_outturn=min_outturn))
+        for stage in Stage
+        for metric in Metric
+    }
+    if all(reference.is_empty for reference in classes.values()):
+        raise EmptyClassError("no reference class has any observations")
 
     breakdown_rows, aggregate = phase_breakdown(records)
     durations = None

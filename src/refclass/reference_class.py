@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 from .errors import EmptyClassError, InsufficientDataError, NonMonotoneCurveError
 from .normalization import OverrunObservation
 from .registry import DEFAULT_DEGREE, DEFAULT_ERA_CUTOFF, DEFAULT_GRID_STEP, DEFAULT_METHOD, DEFAULT_MIN_OUTTURN
-from .registry import DEFAULT_SPAN, Metric, QuantileMethod, Stage
+from .registry import DEFAULT_SPAN, MAX_GRID_STEP, MIN_GRID_STEP, Metric, QuantileMethod, Stage
 from .stats import TestResult, mann_whitney_u
 
 # The loess fit and the isotonic repair import .smoothing, and numpy with
@@ -181,8 +181,6 @@ def uplift(
 ) -> float:
     """Uplift at certainty p: accept a 1 - p chance of still overrunning."""
 
-    if reference.is_empty:
-        raise EmptyClassError("cannot compute an uplift from an empty reference class")
     return empirical_quantile(reference.values, p, method)
 
 
@@ -197,8 +195,6 @@ def required_certainty(
     absolute tolerance absorbs float noise at grid boundaries.
     """
 
-    if reference.is_empty:
-        raise EmptyClassError("cannot invert an empty reference class")
     best = 0.0
     for p in default_probability_grid():
         if uplift(reference, p, method) <= uplift_value + _GRID_EPS:
@@ -207,15 +203,15 @@ def required_certainty(
 
 
 def default_probability_grid(step: float = DEFAULT_GRID_STEP) -> tuple[float, ...]:
-    """Certainty grid for curve export: step increments up to 0.99, plus 1."""
+    """Certainty grid for curve export: step increments up to MAX_GRID_STEP, plus 1."""
 
-    if not 0.0 < step <= 0.99:
-        raise ValueError(f"grid step must lie in (0, 0.99], got {step}")
+    if not MIN_GRID_STEP <= step <= MAX_GRID_STEP:
+        raise ValueError(f"grid step must lie in [{MIN_GRID_STEP}, {MAX_GRID_STEP}], got {step}")
     grid: list[float] = []
     i = 1
     while True:
         p = round(i * step, 10)
-        if p > 0.99 + _GRID_EPS:
+        if p > MAX_GRID_STEP + _GRID_EPS:
             break
         grid.append(p)
         i += 1

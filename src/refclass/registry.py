@@ -7,8 +7,8 @@ Three file-backed inputs feed the toolkit:
 * ``deflators.csv`` -- a contiguous year -> price-index series.
 * ``benchmark.json`` -- published summary constants for external comparison.
 
-The enums the command line offers as choices, and every option default, live
-here too, so its options are built without loading an analysis module.
+The command line's choices (enums), every option default and the valid ranges
+live here too, so its options are built without loading an analysis module.
 
 Money is carried as integer thousands of HKD exactly as ingested; fractional
 money appears only in derived figures downstream.
@@ -75,7 +75,7 @@ class QuantileMethod(enum.Enum):
         return self.value
 
 
-# The option defaults: the command line and the modules that apply them read these.
+# The option defaults and valid ranges: the command line and the modules that apply them read these.
 
 #: Estimates approved on or after this date follow the tightened procedure;
 #: earlier projects are excluded from reference classes by default.
@@ -95,6 +95,13 @@ DEFAULT_METHOD = QuantileMethod.INTERPOLATED
 DEFAULT_SPAN = 0.75
 DEFAULT_DEGREE = 2
 DEFAULT_GRID_STEP = 0.01
+
+#: The loess degrees, each with the fewest points a fit of it takes, and the grid
+#: step's closed range: its top is the grid's last point below 1, and its floor
+#: keeps the grid and its fit small (a step below 5e-11 would round every point to 0).
+LOESS_MIN_POINTS = {1: 3, 2: 4}
+MIN_GRID_STEP = 0.0001
+MAX_GRID_STEP = 0.99
 
 #: Contingency tiers as (name, certainty). Delegation guidance puts the contract
 #: tier between P50 and P55; the preset pins the top of that range.

@@ -56,7 +56,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
-from .registry import DEFAULT_DEGREE, DEFAULT_SPAN
+from .registry import DEFAULT_DEGREE, DEFAULT_SPAN, LOESS_MIN_POINTS
 
 _Z_95 = 1.96
 
@@ -105,21 +105,22 @@ def _loess_sorted(
     """The fit and the low and high ends of its 95 percent band at each
     point of ascending ``x``: ``loess_smooth`` after its sort."""
 
-    if degree not in (1, 2):
-        raise ValueError(f"degree must be 1 or 2, got {degree}")
+    if degree not in LOESS_MIN_POINTS:
+        raise ValueError(f"degree must be {' or '.join(map(str, LOESS_MIN_POINTS))}, got {degree}")
     if not 0.0 < span <= 1.0:
         raise ValueError(f"span must lie in (0, 1], got {span}")
     n = len(x)
-    if n < degree + 2:
+    fewest = LOESS_MIN_POINTS[degree]
+    if n < fewest:
         raise InsufficientDataError(
-            f"loess needs at least {degree + 2} points for degree {degree}, got {n}"
+            f"loess needs at least {fewest} points for degree {degree}, got {n}"
         )
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("loess needs finite x and y")
 
-    window_size = min(n, max(math.ceil(span * n), degree + 2))
+    window_size = min(n, max(math.ceil(span * n), fewest))
     if n <= _DIRECT_MAX_POINTS:
         fits = np.empty(n)
         hat = np.zeros((n, n))

@@ -24,7 +24,7 @@ HOSTILE_VALUES = [
     "", " ", "x", "-1", "0", "1.5", "1e309", "-1e309", "nan", "inf", "-inf",
     "99999999999999999999999", "2000-13-01", "1993-02-30", "0001-01-01", "9999-12-31",
     "1997:", ":5", "1997:1;1997:2", "1997:-5", "a;b", "é", "\x00", "\ufeff", "0x10",
-    "1_000", "+5", "--help", "=", "9" * 400,
+    "1_000", "+5", "--help", "=", "1e-300", "9" * 400,
 ]
 
 # The 18 Category C cost observations (project id, actual overrun fraction)

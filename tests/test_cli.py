@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -15,19 +16,29 @@ from hashlib import sha256
 from importlib import import_module
 from pathlib import Path
 
+import click
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpus
 import refclass
-from refclass.cli import _SETTINGS, cli, main
+from refclass.cli import _SETTINGS, _parse_p_list, _parse_scheme, cli, main
+from refclass.contingency import TierScheme
+from refclass.reference_class import default_probability_grid, rank_position
 from refclass.registry import (
+    DEFAULT_DEGREE,
+    DEFAULT_SPAN,
+    LOESS_MIN_POINTS,
+    MAX_GRID_STEP,
+    MIN_GRID_STEP,
     ProjectRecord,
+    QuantileMethod,
     Stage,
     StageEstimate,
     parse_project_records,
     write_project_records,
 )
+from refclass.smoothing import _loess_sorted
 from test_validation import GOLDEN_CSV as GOLDEN_LOOV_CSV
 
 GOLDEN_UPLIFT_BOTH = """\
@@ -276,6 +287,24 @@ def test_benchmark_label_names_an_entry_or_exits_1(demo_paths, tmp_path, capsys)
         assert (code, stdout) == (1, ""), given
         assert err.splitlines()[-1] == f"Error: {message}"
 
+    # A missing input file comes first, then the label, then the registry.
+    bad_registry = tmp_path / "bad.csv"
+    bad_registry.write_text("bogus,header\n")
+    bad_benchmark = tmp_path / "bad.json"
+    bad_benchmark.write_text('{"x": 1')
+    deflators = ["--deflators", demo_paths["deflators"], "--out", str(tmp_path / "out")]
+    for given, expected_code, last_line in [
+        (["--projects", str(bad_registry), "--benchmark", str(files["other"]), "--benchmark-label", "nosuch"],
+         1, "Error: label 'nosuch' not in benchmark file (has: alpha, zeta)"),
+        (["--benchmark", str(bad_benchmark)],
+         1, "Error: no projects file given (use --projects or a config file)"),
+        (["--projects", str(bad_registry), "--benchmark", str(bad_benchmark)],
+         2, "error: benchmark file is not valid JSON"),
+    ]:
+        code, stdout, err = run(capsys, "benchmark", *deflators, *given)
+        assert (code, stdout) == (expected_code, ""), given
+        assert err.splitlines()[-1].startswith(last_line), given
+
 
 def test_check_clean_registry(table2_paths, tmp_path, capsys):
     code, stdout, _ = run(capsys, "check", "--projects", table2_paths["projects"])
@@ -327,8 +356,10 @@ def test_usage_errors_exit_1(table2_paths, tmp_path, capsys):
 
     span_zero = tmp_path / "span.conf"
     span_zero.write_text("span = 0\n")
-    step_nan = tmp_path / "step.conf"
-    step_nan.write_text("grid_step = nan\n")
+    steps = {}
+    for step in ("nan", "1e-300", "0.00009"):
+        steps[step] = tmp_path / f"step_{step}.conf"
+        steps[step].write_text(f"grid_step = {step}\n")
     for bad in (
         ["curve", "--grid-step", "0"],
         ["curve", "--grid-step", "2"],
@@ -337,7 +368,11 @@ def test_usage_errors_exit_1(table2_paths, tmp_path, capsys):
         ["curve", "--config", str(span_zero)],
         ["curve", "--span", "nan"],
         ["curve", "--grid-step", "nan"],
-        ["curve", "--config", str(step_nan)],
+        ["curve", "--config", str(steps["nan"])],
+        # A step below the floor is refused before a grid is built.
+        *([*command, *given] for step in ("1e-300", "0.00009")
+          for command in (["curve"], ["tiers", "--base", "100"], ["uplift", "--smooth"])
+          for given in (["--grid-step", step], ["--config", str(steps[step])])),
         ["uplift", "--smooth", "--p", "0.005"],
         ["tiers", "--base", "100", "--scheme", "a:0.005"],
         ["curve", "--grid-step", "0.5"],
@@ -627,6 +662,66 @@ def test_cli_and_library_defaults_agree(key):
                     assert parameter.default == default, (name, parameter.name)
                     applied.add(f"{module_name}.{name}")
     assert applied == expected
+
+
+def _accepts(check, value) -> bool:
+    try:
+        check(value)
+    except (click.UsageError, ValueError):
+        return False
+    return True
+
+
+def _probes(*bounds):
+    """Each bound and the next floats either side of it (for an integer
+    bound, also the next integers), then 0, a negative value, NaN and both
+    infinities."""
+
+    probes = [0, -1, math.nan, math.inf, -math.inf]
+    for bound in bounds:
+        probes += [bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+        if isinstance(bound, int):
+            probes += [bound - 1, bound + 1]
+    return probes
+
+
+def _option_type(key):
+    return lambda value: _SETTINGS[key]["type"].convert(value, None, None)
+
+
+def _loess_on_six_points(span=DEFAULT_SPAN, degree=DEFAULT_DEGREE):
+    _loess_sorted(range(6), [0.0, 1.0, 0.0, 2.0, 1.0, 3.0], span, degree)
+
+
+# Per range: its probes, then the command line's checks and the library's.
+# Span and certainty are (0, 1] by definition, so their bounds are written
+# here; the degrees and the grid step's range are the registry's.
+_RANGES = {
+    "span": (_probes(0.0, 1.0), [_option_type("span")], [lambda span: _loess_on_six_points(span=span)]),
+    "degree": (_probes(min(LOESS_MIN_POINTS), max(LOESS_MIN_POINTS)), [_option_type("degree")],
+               [lambda degree: _loess_on_six_points(degree=degree)]),
+    "grid_step": (_probes(MIN_GRID_STEP, MAX_GRID_STEP), [_option_type("grid_step")], [default_probability_grid]),
+    "certainty": (
+        _probes(0.0, 1.0),
+        [lambda p: _parse_p_list(None, None, p), lambda p: _parse_scheme(None, None, f"tier:{p}")],
+        [*(lambda p, method=method: rank_position(5, p, method) for method in QuantileMethod),
+         lambda p: TierScheme(tiers=(("tier", p),))],
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_RANGES))
+def test_cli_and_library_ranges_agree(key):
+    probes, cli_checks, library_checks = _RANGES[key]
+    accepted = []
+    for probe in probes:
+        # The command line reads a flag and a config value alike, as text.
+        verdicts = {_accepts(check, str(probe)) for check in cli_checks}
+        verdicts |= {_accepts(check, probe) for check in library_checks}
+        assert len(verdicts) == 1, (key, probe, verdicts)
+        if verdicts == {True}:
+            accepted.append(probe)
+    assert accepted, key
 
 
 def test_lazy_exports_resolve_to_their_modules():

@@ -5,6 +5,7 @@ from hypothesis import example, given, strategies as st
 
 import corpus
 import oracles
+from refclass.contingency import debias_estimate, portfolio_pool
 from refclass.errors import EmptyClassError
 from refclass.reference_class import (
     QuantileMethod,
@@ -72,6 +73,20 @@ def test_single_value_any_p():
 def test_empty_sample_rejected():
     with pytest.raises(EmptyClassError):
         empirical_quantile((), 0.5, INF)
+
+
+def test_every_uplift_of_an_empty_class_is_refused():
+    # rank_position refuses n = 0, and every quantile is read where it says.
+    empty = ReferenceClass.from_values([])
+    for read in (
+        lambda: uplift(empty, 0.5),
+        lambda: required_certainty(empty, 0.1),
+        lambda: uplift_curve(empty),
+        lambda: debias_estimate(100, empty, 0.5),
+        lambda: portfolio_pool([100], empty, 0.5, 0.8),
+    ):
+        with pytest.raises(EmptyClassError):
+            read()
 
 
 @pytest.mark.parametrize("p", [0.0, -0.2, 1.0001])
