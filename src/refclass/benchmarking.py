@@ -17,14 +17,12 @@ from typing import IO, Mapping, Sequence
 
 from .reference_class import ReferenceClass
 from .registry import DAYS_PER_YEAR, BenchmarkConstants, Metric, ProjectRecord, Stage
-from .stats import DescriptiveStats, TestResult, descriptive_stats, mann_whitney_u, proportion_test
+from .stats import TEST_NAMES, DescriptiveStats, TestResult, descriptive_stats, mann_whitney_u, proportion_test
 
 DEFAULT_MAPPING_NOTE = (
     "decision-to-build baseline taken as the Category C upgrade; "
     "only Category C rows are directly comparable to the benchmark"
 )
-
-TEST_NAMES = {"mean": "mann-whitney-u", "frequency": "fisher-exact"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,24 +101,17 @@ def benchmark_report(
     )
 
 
-def _stage_cell(report: BenchmarkReport, metric: Metric, field: str) -> dict[Stage, str]:
-    cells = {}
-    for stage in Stage:
-        row = report.row(stage, metric)
-        if row is None:
-            cells[stage] = ""
-        else:
-            cells[stage] = f"{getattr(row.stats, field):.4f}"
-    return cells
-
-
-def _test_cells(row: BenchmarkRow | None, which: str) -> tuple[str, str]:
-    if row is None:
-        return "", ""
-    test = row.mean_test if which == "mean" else row.frequency_test
-    if test is None:
-        return "", ""
-    return f"{test.p_value:.6f}", test.name
+#: The comparison table's rows, in order: (row name, metric, DescriptiveStats
+#: field, BenchmarkConstants field, the Category C row's test, if any).
+_MEASURES = (
+    ("average_cost_overrun", Metric.COST, "mean", "mean_cost_overrun", "mean_test"),
+    ("frequency_of_cost_overruns", Metric.COST, "overrun_frequency", "cost_overrun_frequency", "frequency_test"),
+    ("sd_of_cost_overrun", Metric.COST, "sd", "cost_overrun_sd", None),
+    ("average_schedule_overrun", Metric.SCHEDULE, "mean", "mean_schedule_overrun", "mean_test"),
+    ("frequency_of_schedule_overruns", Metric.SCHEDULE, "overrun_frequency", "schedule_overrun_frequency",
+     "frequency_test"),
+    ("sd_of_schedule_overrun", Metric.SCHEDULE, "sd", "schedule_overrun_sd", None),
+)
 
 
 def write_benchmark_csv(report: BenchmarkReport, sink: IO[str]) -> None:
@@ -134,36 +125,23 @@ def write_benchmark_csv(report: BenchmarkReport, sink: IO[str]) -> None:
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["measure", "benchmark", "cat_c", "cat_b", "cat_a", "p_value", "test"])
     c = report.constants
-    # (row name, metric, DescriptiveStats field, BenchmarkConstants field, test kind)
-    measures = [
-        ("average_cost_overrun", Metric.COST, "mean", "mean_cost_overrun", "mean"),
-        ("frequency_of_cost_overruns", Metric.COST, "overrun_frequency", "cost_overrun_frequency", "frequency"),
-        ("sd_of_cost_overrun", Metric.COST, "sd", "cost_overrun_sd", None),
-        ("average_schedule_overrun", Metric.SCHEDULE, "mean", "mean_schedule_overrun", "mean"),
-        ("frequency_of_schedule_overruns", Metric.SCHEDULE, "overrun_frequency", "schedule_overrun_frequency",
-         "frequency"),
-        ("sd_of_schedule_overrun", Metric.SCHEDULE, "sd", "schedule_overrun_sd", None),
-    ]
-    for name, metric, field, constant_field, test_kind in measures:
-        benchmark = "" if c is None else f"{getattr(c, constant_field):.4f}"
-        cells = _stage_cell(report, metric, field)
-        p_value, test_name = "", ""
-        if test_kind is not None:
-            p_value, test_name = _test_cells(report.row(Stage.C, metric), test_kind)
-        writer.writerow(
-            [name, benchmark, cells[Stage.C], cells[Stage.B], cells[Stage.A], p_value, test_name]
-        )
-    writer.writerow(
-        [
-            "average_duration_years",
-            "" if c is None else f"{c.mean_duration_years:.2f}",
-            "" if report.mean_duration_years is None else f"{report.mean_duration_years:.2f}",
-            "",
-            "",
-            "",
-            "",
-        ]
-    )
+    for name, metric, field, constant_field, test_field in _MEASURES:
+        rows = [report.row(stage, metric) for stage in Stage]
+        cells = ["" if row is None else f"{getattr(row.stats, field):.4f}" for row in rows]
+        test = None if rows[0] is None or test_field is None else getattr(rows[0], test_field)
+        writer.writerow([
+            name,
+            "" if c is None else f"{getattr(c, constant_field):.4f}",
+            *cells,
+            *(("", "") if test is None else (f"{test.p_value:.6f}", test.name)),
+        ])
+    duration = report.mean_duration_years
+    writer.writerow([
+        "average_duration_years",
+        "" if c is None else f"{c.mean_duration_years:.2f}",
+        "" if duration is None else f"{duration:.2f}",
+        *[""] * 4,
+    ])
 
 
 def benchmark_report_as_dict(report: BenchmarkReport) -> dict:

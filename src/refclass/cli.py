@@ -429,10 +429,7 @@ def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, m
     if all(reference.is_empty for reference in classes.values()):
         raise EmptyClassError("no reference class has any observations")
 
-    breakdown_rows, aggregate = phase_breakdown(records)
-    durations = None
-    if aggregate.n:
-        durations = [row.total_years for row in breakdown_rows]
+    durations = [row.total_years for row in phase_breakdown(records)[0]]
     report = benchmark_report(classes, constants=constants, durations_years=durations)
 
     csv_buffer = io.StringIO()

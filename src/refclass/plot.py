@@ -80,41 +80,44 @@ def curve_svg(
         return _MARGIN_TOP + (y_max - v) / (y_max - y_min) * plot_h
 
     parts: list[str] = []
+
+    def line(x1: float, y1: float, x2: float, y2: float, color: str, dashed: bool = False) -> None:
+        dash = ' stroke-dasharray="4,3"' if dashed else ""
+        parts.append(
+            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{_COLORS[color]}" stroke-width="1"{dash}/>'
+        )
+
+    def text(x: float, y: float | str, anchor: str, size: int, color: str, body: str) -> None:
+        # The title's y is written as given; a blank anchor writes none.
+        y_text = y if isinstance(y, str) else _fmt(y)
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
+        parts.append(
+            f'<text x="{_fmt(x)}" y="{y_text}"{anchor} '
+            f'font-family="sans-serif" font-size="{size}" fill="{_COLORS[color]}">{body}</text>'
+        )
+
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
     parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
-    parts.append(
-        f'<text x="{_fmt(_WIDTH / 2)}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14" fill="{_COLORS["axis"]}">{title}</text>'
-    )
+    text(_WIDTH / 2, "20", "middle", 14, "axis", title)
 
     # gridlines and ticks
+    bottom = _MARGIN_TOP + plot_h
     step = _nice_step(y_max - y_min)
     tick = math.ceil(y_min / step) * step
     while tick <= y_max:
         y = sy(tick)
-        parts.append(
-            f'<line x1="{_fmt(sx(0.0))}" y1="{_fmt(y)}" x2="{_fmt(sx(1.0))}" y2="{_fmt(y)}" '
-            f'stroke="{_COLORS["grid"]}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(sx(0.0) - 8)}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{_COLORS["axis"]}">{tick * 100:+.0f}%</text>'
-        )
+        line(sx(0.0), y, sx(1.0), y, "grid")
+        text(sx(0.0) - 8, y + 4, "end", 11, "axis", f"{tick * 100:+.0f}%")
         tick = round(tick + step, 12)
     for i in range(0, 11, 2):
         p = i / 10
         x = sx(p)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(_MARGIN_TOP + plot_h)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(_MARGIN_TOP + plot_h + 5)}" stroke="{_COLORS["axis"]}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(_MARGIN_TOP + plot_h + 20)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" fill="{_COLORS["axis"]}">{p:.1f}</text>'
-        )
+        line(x, bottom, x, bottom + 5, "axis")
+        text(x, bottom + 20, "middle", 11, "axis", f"{p:.1f}")
 
     # confidence band (drawn first so the lines sit on top)
     if smoothed:
@@ -138,9 +141,9 @@ def curve_svg(
 
     # smoothed line
     if smoothed:
-        line = " ".join(f"{_fmt(sx(p))},{_fmt(sy(fit))}" for p, fit, _, _ in smoothed)
+        fit_line = " ".join(f"{_fmt(sx(p))},{_fmt(sy(fit))}" for p, fit, _, _ in smoothed)
         parts.append(
-            f'<polyline points="{line}" fill="none" stroke="{_COLORS["smooth"]}" stroke-width="2"/>'
+            f'<polyline points="{fit_line}" fill="none" stroke="{_COLORS["smooth"]}" stroke-width="2"/>'
         )
 
     # certainty markers, read off the raw quantiles
@@ -151,32 +154,15 @@ def curve_svg(
         except ValueError:
             continue
         x, y = sx(p), sy(value)
-        label = f"P{certainty_percent(p)} {signed_percent(value)}"
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(_MARGIN_TOP)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(_MARGIN_TOP + plot_h)}" stroke="{_COLORS["marker"]}" '
-            f'stroke-width="1" stroke-dasharray="4,3"/>'
-        )
+        line(x, _MARGIN_TOP, x, bottom, "marker", dashed=True)
         parts.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="{_COLORS["marker"]}"/>'
         )
-        parts.append(
-            f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 8)}" font-family="sans-serif" '
-            f'font-size="12" fill="{_COLORS["marker"]}">{label}</text>'
-        )
+        text(x + 6, y - 8, "", 12, "marker", f"P{certainty_percent(p)} {signed_percent(value)}")
 
     # axes
-    parts.append(
-        f'<line x1="{_fmt(sx(0.0))}" y1="{_fmt(_MARGIN_TOP)}" x2="{_fmt(sx(0.0))}" '
-        f'y2="{_fmt(_MARGIN_TOP + plot_h)}" stroke="{_COLORS["axis"]}" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(sx(0.0))}" y1="{_fmt(_MARGIN_TOP + plot_h)}" x2="{_fmt(sx(1.0))}" '
-        f'y2="{_fmt(_MARGIN_TOP + plot_h)}" stroke="{_COLORS["axis"]}" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<text x="{_fmt(sx(0.5))}" y="{_fmt(_HEIGHT - 10)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" fill="{_COLORS["axis"]}">certainty</text>'
-    )
+    line(sx(0.0), _MARGIN_TOP, sx(0.0), bottom, "axis")
+    line(sx(0.0), bottom, sx(1.0), bottom, "axis")
+    text(sx(0.5), _HEIGHT - 10, "middle", 12, "axis", "certainty")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

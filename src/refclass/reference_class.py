@@ -224,21 +224,26 @@ class UpliftCurve:
     """Uplift as a function of certainty.
 
     ``points`` holds the raw quantiles per grid certainty. ``smoothed``
-    (optional) holds (p, fit, ci_low, ci_high). ``monotone`` reflects the
-    effective series actually served: raw quantiles are non-decreasing by
-    construction, a loess fit may need isotonic adjustment first.
+    (optional) holds (p, fit, ci_low, ci_high). The effective series is the
+    fit when there is one, else the raw quantiles.
     """
 
     points: tuple[tuple[float, float], ...]
     method: QuantileMethod
     smoothed: tuple[tuple[float, float, float, float], ...] | None = None
-    monotone: bool = True
 
     @property
     def effective_points(self) -> tuple[tuple[float, float], ...]:
         if self.smoothed is not None:
             return tuple((p, fit) for p, fit, _, _ in self.smoothed)
         return self.points
+
+    @property
+    def monotone(self) -> bool:
+        """Whether the effective series never decreases (raw quantiles never do)."""
+
+        values = [v for _, v in self.effective_points]
+        return all(a <= b for a, b in zip(values, values[1:]))
 
     def value_at(self, p: float) -> float:
         """Linear interpolation on the effective series; exact at grid nodes."""
@@ -251,6 +256,7 @@ class UpliftCurve:
         if i < len(grid) and abs(grid[i] - p) <= _GRID_EPS:
             return pts[i][1]
         if i == 0:
+            # Inside the domain, yet grid[0] - p rounded past _GRID_EPS (p = 0.3 - 1e-9).
             return pts[0][1]
         if i >= len(grid):
             return pts[-1][1]
@@ -272,7 +278,7 @@ def uplift_curve(
     ordered = sorted(grid)
     values = reference.values
     points = tuple((p, empirical_quantile(values, p, method)) for p in ordered)
-    return UpliftCurve(points=points, method=method, smoothed=None, monotone=True)
+    return UpliftCurve(points=points, method=method)
 
 
 def smooth_curve(curve: UpliftCurve, span: float = DEFAULT_SPAN, degree: int = DEFAULT_DEGREE) -> UpliftCurve:
@@ -285,9 +291,7 @@ def smooth_curve(curve: UpliftCurve, span: float = DEFAULT_SPAN, degree: int = D
     from .smoothing import loess_smooth
 
     smoothed = tuple(loess_smooth(curve.points, span=span, degree=degree))
-    fits = [f for _, f, _, _ in smoothed]
-    monotone = all(b >= a for a, b in zip(fits, fits[1:]))
-    return replace(curve, smoothed=smoothed, monotone=monotone)
+    return replace(curve, smoothed=smoothed)
 
 
 def isotonic_adjust(curve: UpliftCurve) -> UpliftCurve:
@@ -307,7 +311,7 @@ def isotonic_adjust(curve: UpliftCurve) -> UpliftCurve:
         (p, fit, min(lo, fit), max(hi, fit))
         for (p, _, lo, hi), fit in zip(curve.smoothed, adjusted)
     )
-    return replace(curve, smoothed=smoothed, monotone=True)
+    return replace(curve, smoothed=smoothed)
 
 
 def require_monotone(curve: UpliftCurve) -> None:

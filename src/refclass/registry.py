@@ -377,25 +377,20 @@ def validate_record(record: ProjectRecord) -> list[Violation]:
 
     problems: list[Violation] = []
 
+    def report(code: str, message: str, stage: Stage | None = None) -> None:
+        problems.append(Violation(code, f"{record.id}: {message}", stage=stage))
+
     if record.actual_completion is None:
-        problems.append(Violation("missing-completion", f"{record.id}: actual completion date is missing"))
+        report("missing-completion", "actual completion date is missing")
     if record.outturn_nominal is None:
-        problems.append(Violation("missing-outturn", f"{record.id}: nominal outturn is missing"))
+        report("missing-outturn", "nominal outturn is missing")
     elif record.outturn_nominal <= 0:
-        problems.append(
-            Violation("non-positive-outturn", f"{record.id}: outturn must be positive, got {record.outturn_nominal}")
-        )
+        report("non-positive-outturn", f"outturn must be positive, got {record.outturn_nominal}")
 
     dated = [(s, record.stages[s].upgrade_date) for s in _STAGES if record.stages[s].upgrade_date is not None]
     for (s0, d0), (s1, d1) in zip(dated, dated[1:]):
         if d1 < d0:
-            problems.append(
-                Violation(
-                    "stage-order",
-                    f"{record.id}: {s1} upgrade ({d1.isoformat()}) precedes {s0} upgrade ({d0.isoformat()})",
-                    stage=s1,
-                )
-            )
+            report("stage-order", f"{s1} upgrade ({d1.isoformat()}) precedes {s0} upgrade ({d0.isoformat()})", s1)
 
     for stage in _STAGES:
         est = record.stages[stage]
@@ -405,72 +400,34 @@ def validate_record(record: ProjectRecord) -> list[Violation]:
             ("approved", est.approved, 1),
         ):
             if amount is not None and amount < floor:
-                problems.append(
-                    Violation(
-                        "non-positive-money",
-                        f"{record.id}: {label} at Category {stage} must be at least {floor}, got {amount}",
-                        stage=stage,
-                    )
-                )
+                report("non-positive-money",
+                       f"{label} at Category {stage} must be at least {floor}, got {amount}", stage)
         if est.base is not None and est.price_level_year is None:
-            problems.append(
-                Violation(
-                    "missing-price-year",
-                    f"{record.id}: base estimate at Category {stage} has no price-level year",
-                    stage=stage,
-                )
-            )
+            report("missing-price-year", f"base estimate at Category {stage} has no price-level year", stage)
         if est.base is not None and est.contingency is not None and est.approved is not None:
             expected = est.base + est.contingency
             if expected > 0 and abs(est.approved - expected) > CONSISTENCY_TOLERANCE * expected:
-                problems.append(
-                    Violation(
-                        "estimate-consistency",
-                        f"{record.id}: Category {stage} approved estimate {est.approved} differs from "
-                        f"base + contingency = {expected} by more than {CONSISTENCY_TOLERANCE:.1%}",
-                        stage=stage,
-                    )
-                )
-        if est.upgrade_date is not None and record.actual_completion is not None:
-            if record.actual_completion < est.upgrade_date:
-                problems.append(
-                    Violation(
-                        "completion-before-upgrade",
-                        f"{record.id}: actual completion {record.actual_completion.isoformat()} precedes "
-                        f"Category {stage} upgrade {est.upgrade_date.isoformat()}",
-                        stage=stage,
-                    )
-                )
-        if est.upgrade_date is not None and est.planned_completion is not None:
-            if est.planned_completion <= est.upgrade_date:
-                problems.append(
-                    Violation(
-                        "non-positive-planned-duration",
-                        f"{record.id}: Category {stage} planned completion {est.planned_completion.isoformat()} "
-                        f"does not follow the upgrade date {est.upgrade_date.isoformat()}",
-                        stage=stage,
-                    )
-                )
+                report("estimate-consistency", f"Category {stage} approved estimate {est.approved} differs from "
+                       f"base + contingency = {expected} by more than {CONSISTENCY_TOLERANCE:.1%}", stage)
+        if est.upgrade_date is None:
+            continue
+        if record.actual_completion is not None and record.actual_completion < est.upgrade_date:
+            report("completion-before-upgrade", f"actual completion {record.actual_completion.isoformat()} "
+                   f"precedes Category {stage} upgrade {est.upgrade_date.isoformat()}", stage)
+        if est.planned_completion is not None and est.planned_completion <= est.upgrade_date:
+            report("non-positive-planned-duration", f"Category {stage} planned completion "
+                   f"{est.planned_completion.isoformat()} does not follow the upgrade date "
+                   f"{est.upgrade_date.isoformat()}", stage)
 
     if record.disbursements is not None:
         for year, amount in sorted(record.disbursements.items()):
             if amount <= 0:
-                problems.append(
-                    Violation(
-                        "non-positive-disbursement",
-                        f"{record.id}: disbursement for {year} must be positive, got {amount}",
-                    )
-                )
+                report("non-positive-disbursement", f"disbursement for {year} must be positive, got {amount}")
         if record.outturn_nominal is not None and record.outturn_nominal > 0:
             total = sum(record.disbursements.values())
             if abs(total - record.outturn_nominal) > CONSISTENCY_TOLERANCE * record.outturn_nominal:
-                problems.append(
-                    Violation(
-                        "disbursement-sum",
-                        f"{record.id}: disbursements sum to {total}, outturn is {record.outturn_nominal} "
-                        f"(difference exceeds {CONSISTENCY_TOLERANCE:.1%})",
-                    )
-                )
+                report("disbursement-sum", f"disbursements sum to {total}, outturn is {record.outturn_nominal} "
+                       f"(difference exceeds {CONSISTENCY_TOLERANCE:.1%})")
 
     return problems
 

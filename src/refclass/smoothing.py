@@ -36,11 +36,13 @@ directly, per point, by a pseudo-inverse, and one whose x values all
 coincide (d_max = 0) takes the local mean; a point of a tie run longer than
 the window may then lie outside its own window, with hat diagonal 0.
 
-Fits of at most 128 points, which covers every uplift curve, solve every
-point directly and keep the dense n x n hat matrix (at most 128 KiB), so
-their output is the same to the last bit. The pointwise standard error is
-sqrt(sigma^2 * sum_j h_j^2), with the residual variance sigma^2 estimated
-globally; the 95 percent band is fit +/- 1.96 * SE.
+Fits of at most 128 points, such as an uplift curve on the default grid
+(100 points), solve every point directly and keep the dense n x n hat
+matrix (at most 128 KiB), so their output is the same to the last bit. A
+grid step of at most 0.99 / 128 takes the power-sum path: 0.0077 gives 129
+points, 0.005 gives 199 and 0.0001 gives 9,901. The pointwise standard
+error is sqrt(sigma^2 * sum_j h_j^2), with the residual variance sigma^2
+estimated globally; the 95 percent band is fit +/- 1.96 * SE.
 
 pool_adjacent_violators is the least-squares projection onto non-decreasing
 sequences: scan forward, merge adjacent blocks whose means are out of order,
@@ -73,8 +75,8 @@ _BLOCK_ENTRIES = 1 << 14
 #: Local systems with a larger condition number are solved by pseudo-inverse.
 _MAX_CONDITION = 1e8
 
-#: Fits of at most this many points (every uplift curve: its certainty grid
-#: has at most 100) solve each point directly into a dense hat matrix, which
+#: Fits of at most this many points (an uplift curve on a grid step above
+#: 0.99 / 128) solve each point directly into a dense hat matrix, which
 #: is cheap at this size and keeps the printed full-precision uplifts
 #: identical to the last bit.
 _DIRECT_MAX_POINTS = 128
@@ -105,7 +107,8 @@ def _loess_sorted(
     """The fit and the low and high ends of its 95 percent band at each
     point of ascending ``x``: ``loess_smooth`` after its sort."""
 
-    if degree not in LOESS_MIN_POINTS:
+    # 1.0 == 1 would pass the lookup alone, then fail inside np.vander.
+    if not isinstance(degree, (int, np.integer)) or degree not in LOESS_MIN_POINTS:
         raise ValueError(f"degree must be {' or '.join(map(str, LOESS_MIN_POINTS))}, got {degree}")
     if not 0.0 < span <= 1.0:
         raise ValueError(f"span must lie in (0, 1], got {span}")

@@ -23,6 +23,9 @@ from typing import Sequence
 #: enumerated; beyond this the normal approximation takes over.
 EXACT_RANK_TEST_LIMIT = 14
 
+#: The name each comparison test reports, keyed by what it compares.
+TEST_NAMES = {"mean": "mann-whitney-u", "frequency": "fisher-exact"}
+
 
 @dataclass(frozen=True, slots=True)
 class DescriptiveStats:
@@ -116,17 +119,17 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> TestResult:
         limit = int(round(u_small)) + offset
         tail = sum(counts[s] for s in range(offset, min(limit, len(counts) - 1) + 1))
         p = min(1.0, float(2 * Fraction(tail, math.comb(n, n_a))))
-        return TestResult("mann-whitney-u", u_a, p)
+        return TestResult(TEST_NAMES["mean"], u_a, p)
 
     tie_term = math.fsum(t**3 - t for t in counts.values())
     variance = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0:
         # Every value tied with every other: no evidence of any difference.
-        return TestResult("mann-whitney-u", u_a, 1.0)
+        return TestResult(TEST_NAMES["mean"], u_a, 1.0)
     mean_u = n_a * n_b / 2.0
     z = max(0.0, abs(u_a - mean_u) - 0.5) / math.sqrt(variance)
     p = min(1.0, 2.0 * _normal_sf(z))
-    return TestResult("mann-whitney-u", u_a, p)
+    return TestResult(TEST_NAMES["mean"], u_a, p)
 
 
 def proportion_test(k1: int, n1: int, k2: int, n2: int) -> float:

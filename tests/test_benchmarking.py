@@ -104,6 +104,21 @@ def test_raw_sample_turns_tests_on():
             assert row.frequency_test is None
     c_cost = report.row(Stage.C, Metric.COST)
     assert c_cost.frequency_test.statistic == 3.0
+    sink = io.StringIO()
+    write_benchmark_csv(report, sink)
+    assert sink.getvalue() == RAW_SAMPLE_CSV
+
+
+RAW_SAMPLE_CSV = """\
+measure,benchmark,cat_c,cat_b,cat_a,p_value,test
+average_cost_overrun,,0.4000,0.4000,,0.035714,mann-whitney-u
+frequency_of_cost_overruns,,1.0000,1.0000,,0.196429,fisher-exact
+sd_of_cost_overrun,,0.1000,0.2828,,,
+average_schedule_overrun,,0.1500,,,,
+frequency_of_schedule_overruns,,1.0000,,,,
+sd_of_schedule_overrun,,0.0707,,,,
+average_duration_years,,,,,,
+"""
 
 
 def test_empty_inputs_rejected():

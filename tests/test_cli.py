@@ -354,6 +354,17 @@ def test_usage_errors_exit_1(table2_paths, tmp_path, capsys):
     code, _, err = run(capsys, "uplift", "--stage", "C", "--metric", "cost")
     assert code == 1
 
+    no_equals = tmp_path / "no_equals.conf"
+    no_equals.write_text("# a comment\nspan\n")
+    for bad, message in (
+        (["uplift", "--config", str(no_equals)], "config line 2: expected key = value"),
+        (["tiers", "--base", "100", "--scheme", "a0.5"], "tier 'a0.5' is not name:certainty"),
+        (["tiers", "--base", "100", "--scheme", "a:x"], "tier 'a:x' has a non-numeric certainty"),
+    ):
+        code, stdout, err = run(capsys, bad[0], *args, "--stage", "C", "--metric", "cost", *bad[1:])
+        assert (code, stdout) == (1, ""), bad
+        assert err.count("Error") == 1 and err.splitlines()[-1] == f"Error: {message}", bad
+
     span_zero = tmp_path / "span.conf"
     span_zero.write_text("span = 0\n")
     steps = {}
@@ -936,6 +947,10 @@ def test_empty_class_exits_3(table2_paths, tmp_path, capsys):
 
     code, _, err = run(capsys, "uplift", *args, "--stage", "B", "--metric", "cost")
     assert code == 3
+
+    code, stdout, err = run(capsys, "benchmark", *args, "--min-outturn", "99999999")
+    assert (code, stdout) == (3, "")
+    assert err == "error: no reference class has any observations\n"
 
 
 def test_non_monotone_curve_exits_4(tmp_path, capsys):

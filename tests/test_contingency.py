@@ -87,7 +87,6 @@ def test_non_monotone_curve_rejected():
     bad = UpliftCurve(
         points=((0.55, 0.4), (0.60, 0.2), (0.80, 0.3)),
         method=QuantileMethod.INTERPOLATED,
-        monotone=False,
     )
     with pytest.raises(NonMonotoneCurveError):
         tier_allocation(100, bad, DEFAULT_TIER_SCHEME)

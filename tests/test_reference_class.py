@@ -3,15 +3,18 @@ import logging
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, strategies as st
 
 import corpus
 from conftest import make_observations
+from refclass.contingency import DEFAULT_TIER_SCHEME, tier_allocation
 from refclass.errors import InsufficientDataError, NonMonotoneCurveError
 from refclass.normalization import DEFAULT_ERA_CUTOFF
 from refclass.reference_class import (
     ClassFilter,
     QuantileMethod,
     ReferenceClass,
+    UpliftCurve,
     build_class,
     default_probability_grid,
     isotonic_adjust,
@@ -20,7 +23,7 @@ from refclass.reference_class import (
     trend_by_date,
     uplift_curve,
 )
-from refclass.registry import Metric, Stage
+from refclass.registry import MAX_GRID_STEP, Metric, Stage
 
 
 def test_build_class_table2_size(table2_class):
@@ -89,6 +92,39 @@ def test_smooth_curve_can_go_non_monotone_and_adjustment_repairs_it():
     assert all(a <= b + 1e-12 for a, b in zip(fits, fits[1:]))
     for (_, fit, lo, hi) in repaired.smoothed:
         assert lo <= fit <= hi
+
+
+def test_monotone_is_read_from_the_served_series():
+    # Built without a flag, a decreasing curve once claimed to be monotone
+    # and tier_allocation handed out a negative tranche.
+    points = ((0.55, 0.4), (0.6, 0.2), (0.8, 0.3))
+    decreasing = UpliftCurve(points=points, method=QuantileMethod.INTERPOLATED)
+    assert not decreasing.monotone
+    with pytest.raises(NonMonotoneCurveError):
+        tier_allocation(100, decreasing, DEFAULT_TIER_SCHEME)
+    with pytest.raises(TypeError):
+        UpliftCurve(points=points, method=QuantileMethod.INTERPOLATED, monotone=True)
+    # A fit, when there is one, is what is served.
+    ordered_fit = tuple((p, 0.1 * i, 0.0, 1.0) for i, (p, _) in enumerate(points))
+    assert dataclasses.replace(decreasing, smoothed=ordered_fit).monotone
+    assert isotonic_adjust(smooth_curve(decreasing, span=1.0, degree=1)).monotone
+
+
+@given(
+    values=st.lists(st.floats(min_value=-0.9, max_value=5, allow_nan=False), min_size=1, max_size=40),
+    step=st.floats(min_value=0.001, max_value=MAX_GRID_STEP),
+    method=st.sampled_from(QuantileMethod),
+)
+def test_raw_uplift_curve_is_monotone(values, step, method):
+    curve = uplift_curve(ReferenceClass.from_values(values), default_probability_grid(step), method)
+    assert curve.monotone
+
+
+def test_value_at_the_lower_edge_of_the_domain_returns_the_first_point():
+    curve = UpliftCurve(points=((0.3, 0.1), (0.5, 0.2)), method=QuantileMethod.INTERPOLATED)
+    p = 0.3 - 1e-9
+    assert 0.3 - p > 1e-9  # inside the domain, yet no tolerance match
+    assert curve.value_at(p) == 0.1
 
 
 def test_isotonic_adjust_keeps_monotone_fit(table2_class):

@@ -323,6 +323,45 @@ def test_validate_record_disbursement_sum_mismatch():
     assert "disbursement-sum" in codes
 
 
+@pytest.mark.parametrize(
+    "fields, expected",
+    [
+        (dict(actual_completion=None),
+         ("missing-completion", "t1: actual completion date is missing", None)),
+        (dict(outturn_nominal=None),
+         ("missing-outturn", "t1: nominal outturn is missing", None)),
+        (dict(outturn_nominal=0),
+         ("non-positive-outturn", "t1: outturn must be positive, got 0", None)),
+        (dict(stages={Stage.C: StageEstimate(upgrade_date=date(1999, 1, 1)),
+                      Stage.B: StageEstimate(upgrade_date=date(1998, 1, 1))}),
+         ("stage-order", "t1: B upgrade (1998-01-01) precedes C upgrade (1999-01-01)", Stage.B)),
+        (dict(stages={Stage.A: StageEstimate(contingency=-1)}),
+         ("non-positive-money", "t1: contingency at Category A must be at least 0, got -1", Stage.A)),
+        (dict(stages={Stage.B: StageEstimate(base=10, price_level_year=2000, approved=0)}),
+         ("non-positive-money", "t1: approved at Category B must be at least 1, got 0", Stage.B)),
+        (dict(stages={Stage.C: StageEstimate(base=10)}),
+         ("missing-price-year", "t1: base estimate at Category C has no price-level year", Stage.C)),
+        (dict(stages={Stage.C: StageEstimate(base=100, contingency=10, approved=120, price_level_year=2000)}),
+         ("estimate-consistency", "t1: Category C approved estimate 120 differs from "
+          "base + contingency = 110 by more than 0.5%", Stage.C)),
+        (dict(stages={Stage.A: StageEstimate(upgrade_date=date(2002, 1, 1))}),
+         ("completion-before-upgrade", "t1: actual completion 2001-06-30 precedes "
+          "Category A upgrade 2002-01-01", Stage.A)),
+        (dict(stages={Stage.B: StageEstimate(upgrade_date=date(1999, 1, 1),
+                                             planned_completion=date(1999, 1, 1))}),
+         ("non-positive-planned-duration", "t1: Category B planned completion 1999-01-01 "
+          "does not follow the upgrade date 1999-01-01", Stage.B)),
+        (dict(disbursements={1999: 0, 2000: 100}),
+         ("non-positive-disbursement", "t1: disbursement for 1999 must be positive, got 0", None)),
+        (dict(disbursements={2000: 90}),
+         ("disbursement-sum", "t1: disbursements sum to 90, outturn is 100 (difference exceeds 0.5%)", None)),
+    ],
+)
+def test_validate_record_reports_each_code_exactly(fields, expected):
+    report = validate_record(_bare_record(**fields))
+    assert [(v.code, v.message, v.stage) for v in report] == [expected]
+
+
 def test_validate_record_total_on_garbage():
     record = _bare_record(
         outturn_nominal=-5,

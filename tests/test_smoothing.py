@@ -93,6 +93,18 @@ def test_loess_parameter_validation():
         loess_smooth(points[:3], degree=2)
 
 
+@pytest.mark.parametrize("degree", [1.0, 2.0])
+def test_loess_rejects_a_float_degree(degree):
+    from refclass.reference_class import QuantileMethod, UpliftCurve, smooth_curve
+
+    points = [(x / 10, float(x)) for x in range(1, 7)]
+    message = f"degree must be 1 or 2, got {degree}"
+    with pytest.raises(ValueError, match=message):
+        loess_smooth(points, degree=degree)
+    with pytest.raises(ValueError, match=message):
+        smooth_curve(UpliftCurve(points=tuple(points), method=QuantileMethod.INTERPOLATED), degree=degree)
+
+
 # Reference dates drawn from a few days, so x repeats heavily and windows
 # often end inside a run of equal x.
 tied_points = st.integers(1, 8).flatmap(
