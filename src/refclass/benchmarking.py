@@ -39,7 +39,6 @@ class BenchmarkRow:
 class BenchmarkReport:
     rows: tuple[BenchmarkRow, ...]
     constants: BenchmarkConstants | None
-    mapping_note: str
     mean_duration_years: float | None = None
 
     def row(self, stage: Stage, metric: Metric) -> BenchmarkRow | None:
@@ -50,9 +49,8 @@ class BenchmarkReport:
 
 
 def benchmark_report(
-    classes: Mapping[tuple[Stage, Metric], ReferenceClass | Sequence[float]],
+    classes: Mapping[tuple[Stage, Metric], ReferenceClass],
     constants: BenchmarkConstants | None = None,
-    mapping_note: str = DEFAULT_MAPPING_NOTE,
     raw_benchmark: Mapping[Metric, Sequence[float]] | None = None,
     durations_years: Sequence[float] | None = None,
 ) -> BenchmarkReport:
@@ -62,8 +60,7 @@ def benchmark_report(
 
     rows: list[BenchmarkRow] = []
     for stage, metric in sorted(classes, key=lambda key: (key[0], key[1].value)):
-        source = classes[(stage, metric)]
-        values = list(source.values if isinstance(source, ReferenceClass) else source)
+        values = classes[(stage, metric)].values
         if not values:
             continue
         stats = descriptive_stats(values)
@@ -96,7 +93,6 @@ def benchmark_report(
     return BenchmarkReport(
         rows=tuple(rows),
         constants=constants,
-        mapping_note=mapping_note,
         mean_duration_years=mean_duration,
     )
 
@@ -149,7 +145,7 @@ def benchmark_report_as_dict(report: BenchmarkReport) -> dict:
         return None if test is None else asdict(test)
 
     return {
-        "mapping_note": report.mapping_note,
+        "mapping_note": DEFAULT_MAPPING_NOTE,
         "test_names": TEST_NAMES,
         "benchmark": None if report.constants is None else asdict(report.constants),
         "mean_duration_years": report.mean_duration_years,

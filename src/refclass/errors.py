@@ -37,11 +37,12 @@ class NonMonotoneCurveError(RefclassError):
     """An uplift curve is not non-decreasing where monotonicity is required."""
 
 
-def shortened(value: str | int, limit: int = 40, show=repr) -> str:
-    """``show(value)``; a value of more than ``limit`` characters shows only
-    its first ``limit`` and its length, so that an error line which echoes a
-    value stays short however long the value is."""
+def shortened(value: str | int, show=repr) -> str:
+    """``show(value)``; a value of more than 40 characters shows only its
+    first 40 and its length, so that an error line which echoes a value
+    stays short however long the value is."""
 
+    limit = 40
     text = str(value)
     if len(text) <= limit:
         return show(value)

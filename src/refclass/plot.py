@@ -38,10 +38,10 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _nice_step(span: float, target_ticks: int = 6) -> float:
+def _nice_step(span: float) -> float:
     if span <= 0:
         return 0.1
-    raw = span / target_ticks
+    raw = span / 6  # about six ticks
     magnitude = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * magnitude:

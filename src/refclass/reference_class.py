@@ -117,32 +117,21 @@ class ReferenceClass:
         return not self.entries
 
     @classmethod
-    def from_values(
-        cls,
-        values: Iterable[float],
-        stage: Stage = Stage.C,
-        metric: Metric = Metric.COST,
-        ids: Sequence[str] | None = None,
-    ) -> "ReferenceClass":
-        """Build a class directly from outcome fractions (mainly for studies
-        and tests); synthesizes observation metadata."""
+    def from_values(cls, values: Iterable[float]) -> "ReferenceClass":
+        """Build a Category C cost class directly from outcome fractions
+        (mainly for studies and tests); synthesizes observation metadata."""
 
-        values = list(values)
-        if ids is None:
-            ids = [f"v{i + 1:03d}" for i in range(len(values))]
-        elif len(ids) != len(values):
-            raise ValueError("ids must match values in length")
         entries = tuple(
             OverrunObservation(
-                project_id=ids[i],
-                stage=stage,
-                metric=metric,
-                value=values[i],
+                project_id=f"v{i + 1:03d}",
+                stage=Stage.C,
+                metric=Metric.COST,
+                value=value,
                 reference_date=date(2000, 1, 1),
                 pre_era=False,
                 outturn_nominal=DEFAULT_MIN_OUTTURN,
             )
-            for i in range(len(values))
+            for i, value in enumerate(values)
         )
         return cls(filter=None, entries=entries)
 
@@ -269,8 +258,6 @@ def uplift_curve(
     grid: Sequence[float] | None = None,
     method: QuantileMethod = DEFAULT_METHOD,
 ) -> UpliftCurve:
-    if reference.is_empty:
-        raise EmptyClassError("cannot build a curve from an empty reference class")
     if grid is None:
         grid = default_probability_grid()
     if not grid:

@@ -161,20 +161,17 @@ class Violation:
 @dataclass(frozen=True, slots=True)
 class DeflatorSeries:
     """Contiguous year -> price-index series, normalized so that
-    ``index(base_year) == 1.0``.
+    ``index(first year) == 1.0``.
 
-    Only index ratios matter downstream, so the choice of base year is
+    Only index ratios matter downstream, so the normalization is
     presentational.
     """
 
-    base_year: int
     start_year: int
     values: tuple[float, ...]
 
     @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[int, float]], base_year: int | None = None
-    ) -> "DeflatorSeries":
+    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "DeflatorSeries":
         items = sorted(pairs)
         if not items:
             raise DataFormatError("deflator series is empty")
@@ -190,21 +187,17 @@ class DeflatorSeries:
                 raise DataFormatError(
                     f"deflator index for {year} must be a positive finite number, got {value}"
                 )
-        if base_year is None:
-            base_year = years[0]
-        if not years[0] <= base_year <= years[-1]:
-            raise DataFormatError(f"base year {base_year} outside series {years[0]}-{years[-1]}")
-        base_value = dict(items)[base_year]
+        base_value = items[0][1]
         values = tuple(value / base_value for _, value in items)
         for year, value in zip(years, values):
             # Both indexes are positive and finite, but their ratio can
             # underflow to 0 or overflow to inf.
             if not 0 < value < math.inf:
                 raise DataFormatError(
-                    f"deflator index for {year} over base year {base_year} must be a positive "
+                    f"deflator index for {year} over base year {years[0]} must be a positive "
                     f"finite ratio, got {value}"
                 )
-        return cls(base_year=base_year, start_year=years[0], values=values)
+        return cls(start_year=years[0], values=values)
 
     def covers(self, year: int) -> bool:
         return self.start_year <= year < self.start_year + len(self.values)
@@ -292,11 +285,11 @@ def _parse_money(text: str, _shared: dict) -> int:
     return value
 
 
-def _parse_year(text: str, shared: dict | None = None) -> int:
+def _parse_year(text: str, shared: dict) -> int:
     if not _YEAR_PATTERN.match(text):
         raise ValueError(f"invalid year {shortened(text)}")
     year = int(text)
-    return year if shared is None else shared.setdefault(year, year)
+    return shared.setdefault(year, year)
 
 
 def _parse_date(text: str, shared: dict) -> date:
@@ -539,9 +532,7 @@ def write_project_records(records: Sequence[ProjectRecord], sink: IO[str]) -> No
         writer.writerow(record_to_row(record))
 
 
-def parse_deflator_series(
-    source: Iterable[str] | IO[str], base_year: int | None = None
-) -> DeflatorSeries:
+def parse_deflator_series(source: Iterable[str] | IO[str]) -> DeflatorSeries:
     reader = csv.reader(source)
     try:
         header = next(reader)
@@ -550,13 +541,14 @@ def parse_deflator_series(
     if tuple(cell.strip() for cell in header) != ("year", "index"):
         raise DataFormatError("unexpected deflators header: expected year,index")
     pairs: list[tuple[int, float]] = []
+    years: dict = {}
     for row_number, row in enumerate(reader, start=2):
         if not row or all(cell.strip() == "" for cell in row):
             continue
         if len(row) != 2:
             raise DataFormatError(f"row {row_number}: expected 2 columns, got {len(row)}")
         try:
-            year = _parse_year(row[0].strip())
+            year = _parse_year(row[0].strip(), years)
         except ValueError as exc:
             raise DataFormatError(f"row {row_number}, column 'year': {exc}") from None
         try:
@@ -566,7 +558,7 @@ def parse_deflator_series(
                 f"row {row_number}, column 'index': invalid number {shortened(row[1])}"
             ) from None
         pairs.append((year, value))
-    return DeflatorSeries.from_pairs(pairs, base_year=base_year)
+    return DeflatorSeries.from_pairs(pairs)
 
 
 # Field annotations are strings under ``from __future__ import annotations``;

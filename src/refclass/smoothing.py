@@ -46,7 +46,7 @@ estimated globally; the 95 percent band is fit +/- 1.96 * SE.
 
 pool_adjacent_violators is the least-squares projection onto non-decreasing
 sequences: scan forward, merge adjacent blocks whose means are out of order,
-and write each block's weighted mean back over its span.
+and write each block's mean back over its span.
 """
 
 from __future__ import annotations
@@ -107,8 +107,9 @@ def _loess_sorted(
     """The fit and the low and high ends of its 95 percent band at each
     point of ascending ``x``: ``loess_smooth`` after its sort."""
 
-    # 1.0 == 1 would pass the lookup alone, then fail inside np.vander.
-    if not isinstance(degree, (int, np.integer)) or degree not in LOESS_MIN_POINTS:
+    # 1.0 == 1 and True == 1 would pass the lookup alone; 1.0 then fails
+    # inside np.vander, and True fits a line.
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree not in LOESS_MIN_POINTS:
         raise ValueError(f"degree must be {' or '.join(map(str, LOESS_MIN_POINTS))}, got {degree}")
     if not 0.0 < span <= 1.0:
         raise ValueError(f"span must lie in (0, 1], got {span}")
@@ -302,36 +303,27 @@ def _direct_fit(
     return float(pseudo[0] @ (y[window] * sqrt_w)), window, pseudo[0] * sqrt_w
 
 
-def pool_adjacent_violators(
-    values: Sequence[float], weights: Sequence[float] | None = None
-) -> list[float]:
+def pool_adjacent_violators(values: Sequence[float]) -> list[float]:
     """Least-squares non-decreasing fit to ``values``.
 
-    The result is flat over each pooled block, taking the block's weighted
-    mean; already-monotone input comes back unchanged.
+    The result is flat over each pooled block, taking the block's mean;
+    already-monotone input comes back unchanged.
     """
 
-    n = len(values)
-    if n == 0:
+    if len(values) == 0:
         raise ValueError("cannot project an empty sequence")
-    if weights is None:
-        weights = [1.0] * n
-    elif len(weights) != n:
-        raise ValueError("weights must match values in length")
-    elif any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive")
 
-    # Each block is [mean, weight, count]; merge while out of order.
+    # Each block is [mean, count]; merge while out of order.
     blocks: list[list[float]] = []
-    for value, weight in zip(values, weights):
-        blocks.append([float(value), float(weight), 1])
+    for value in values:
+        blocks.append([float(value), 1])
         while len(blocks) >= 2 and blocks[-2][0] > blocks[-1][0]:
-            mean_b, w_b, c_b = blocks.pop()
-            mean_a, w_a, c_a = blocks.pop()
-            w = w_a + w_b
-            blocks.append([(mean_a * w_a + mean_b * w_b) / w, w, c_a + c_b])
+            mean_b, c_b = blocks.pop()
+            mean_a, c_a = blocks.pop()
+            c = c_a + c_b
+            blocks.append([(mean_a * c_a + mean_b * c_b) / c, c])
 
     result: list[float] = []
-    for mean, _, count in blocks:
+    for mean, count in blocks:
         result.extend([mean] * count)
     return result

@@ -8,10 +8,12 @@ from refclass.benchmarking import (
     DEFAULT_MAPPING_NOTE,
     TEST_NAMES,
     benchmark_report,
+    benchmark_report_as_dict,
     phase_breakdown,
     write_benchmark_csv,
     write_benchmark_json,
 )
+from refclass.reference_class import ReferenceClass
 from refclass.registry import INTERNATIONAL_ROADS, Metric, ProjectRecord, Stage, StageEstimate
 
 GOLDEN_CSV = """\
@@ -42,6 +44,10 @@ def _record(record_id="p1", **dates) -> ProjectRecord:
     )
 
 
+def _classes(values_by_key):
+    return {key: ReferenceClass.from_values(values) for key, values in values_by_key.items()}
+
+
 def test_shipped_benchmark_constants():
     c = INTERNATIONAL_ROADS
     assert c.label == "international-roads"
@@ -56,11 +62,11 @@ def test_shipped_benchmark_constants():
 
 
 def test_report_rows_sorted_and_flagged():
-    classes = {
+    classes = _classes({
         (Stage.B, Metric.COST): [0.1, 0.2],
         (Stage.C, Metric.SCHEDULE): [0.0, 0.4],
         (Stage.C, Metric.COST): [0.3, 0.5],
-    }
+    })
     report = benchmark_report(classes, constants=INTERNATIONAL_ROADS)
     keys = [(row.stage, row.metric) for row in report.rows]
     assert keys == [
@@ -72,23 +78,23 @@ def test_report_rows_sorted_and_flagged():
         assert row.comparable is (row.stage is Stage.C)
         assert row.mean_test is None
         assert row.frequency_test is None
-    assert report.mapping_note == DEFAULT_MAPPING_NOTE
+    assert benchmark_report_as_dict(report)["mapping_note"] == DEFAULT_MAPPING_NOTE
     assert report.row(Stage.A, Metric.COST) is None
 
 
 def test_reference_class_inputs_match_plain_values(table2_class):
     by_class = benchmark_report({(Stage.C, Metric.COST): table2_class})
-    by_values = benchmark_report({(Stage.C, Metric.COST): list(table2_class.values)})
+    by_values = benchmark_report(_classes({(Stage.C, Metric.COST): table2_class.values}))
     assert by_class.rows[0].stats == by_values.rows[0].stats
     assert by_class.rows[0].stats.mean == pytest.approx(0.1056, abs=5e-5)
 
 
 def test_raw_sample_turns_tests_on():
-    classes = {
+    classes = _classes({
         (Stage.C, Metric.COST): [0.3, 0.4, 0.5],
         (Stage.B, Metric.COST): [0.2, 0.6],
         (Stage.C, Metric.SCHEDULE): [0.1, 0.2],
-    }
+    })
     sample = [-0.2, -0.1, 0.0, 0.1, 0.2]
     report = benchmark_report(classes, raw_benchmark={Metric.COST: sample})
     for row in report.rows:
@@ -125,19 +131,19 @@ def test_empty_inputs_rejected():
     with pytest.raises(ValueError):
         benchmark_report({})
     with pytest.raises(ValueError):
-        benchmark_report({(Stage.C, Metric.COST): []})
+        benchmark_report(_classes({(Stage.C, Metric.COST): []}))
 
 
 def test_empty_class_dropped_but_rest_kept():
     report = benchmark_report(
-        {(Stage.C, Metric.COST): [0.1], (Stage.B, Metric.COST): []}
+        _classes({(Stage.C, Metric.COST): [0.1], (Stage.B, Metric.COST): []})
     )
     assert [(row.stage, row.metric) for row in report.rows] == [(Stage.C, Metric.COST)]
 
 
 def test_csv_layout_frozen():
     report = benchmark_report(
-        {(Stage.C, Metric.COST): [0.1, 0.3, -0.1, 0.5]},
+        _classes({(Stage.C, Metric.COST): [0.1, 0.3, -0.1, 0.5]}),
         constants=INTERNATIONAL_ROADS,
         durations_years=[8.0, 10.0],
     )
@@ -152,7 +158,7 @@ def test_csv_layout_frozen():
 
 
 def test_csv_without_constants_leaves_benchmark_blank():
-    report = benchmark_report({(Stage.C, Metric.COST): [0.1, 0.3]})
+    report = benchmark_report(_classes({(Stage.C, Metric.COST): [0.1, 0.3]}))
     buffer = io.StringIO()
     write_benchmark_csv(report, buffer)
     lines = buffer.getvalue().splitlines()
@@ -162,7 +168,7 @@ def test_csv_without_constants_leaves_benchmark_blank():
 
 def test_json_round_trips():
     report = benchmark_report(
-        {(Stage.C, Metric.COST): [0.1, 0.3, -0.1, 0.5]},
+        _classes({(Stage.C, Metric.COST): [0.1, 0.3, -0.1, 0.5]}),
         constants=INTERNATIONAL_ROADS,
         durations_years=[8.0, 10.0],
     )

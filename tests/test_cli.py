@@ -709,7 +709,7 @@ def _loess_on_six_points(span=DEFAULT_SPAN, degree=DEFAULT_DEGREE):
 # here; the degrees and the grid step's range are the registry's.
 _RANGES = {
     "span": (_probes(0.0, 1.0), [_option_type("span")], [lambda span: _loess_on_six_points(span=span)]),
-    "degree": (_probes(min(LOESS_MIN_POINTS), max(LOESS_MIN_POINTS)), [_option_type("degree")],
+    "degree": ([*_probes(min(LOESS_MIN_POINTS), max(LOESS_MIN_POINTS)), True], [_option_type("degree")],
                [lambda degree: _loess_on_six_points(degree=degree)]),
     "grid_step": (_probes(MIN_GRID_STEP, MAX_GRID_STEP), [_option_type("grid_step")], [default_probability_grid]),
     "certainty": (

@@ -377,13 +377,13 @@ def test_validate_record_total_on_garbage():
 
 def test_deflators_flat_series_normalizes_to_one():
     text = "year,index\n" + "".join(f"{y},100\n" for y in range(1990, 1996))
-    series = parse_deflator_series(io.StringIO(text), base_year=1990)
+    series = parse_deflator_series(io.StringIO(text))
     for year in range(1990, 1996):
         assert series.index(year) == pytest.approx(1.0)
 
 
 def test_deflators_ratio():
-    series = parse_deflator_series(io.StringIO("year,index\n1990,100\n1991,110\n"), base_year=1990)
+    series = parse_deflator_series(io.StringIO("year,index\n1990,100\n1991,110\n"))
     assert series.index(1991) == pytest.approx(1.10)
 
 
