@@ -12,13 +12,8 @@ smoothing module.
 """
 
 import importlib
-import logging
 
 __version__ = "0.1.0"
-
-# Logging output is the application's choice. Without a handler here, a
-# warning would reach stderr through logging's last-resort handler.
-logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 #: Each public name, keyed to the module that defines it.
 _EXPORTS = {
@@ -31,14 +26,14 @@ _EXPORTS = {
         "errors": "DataFormatError DeflatorCoverageError EmptyClassError InsufficientDataError "
         "NonMonotoneCurveError RecordConsistencyError RefclassError",
         "normalization": "OverrunObservation cost_overrun derive_all_observations "
-        "derive_observations disbursement_profile schedule_overrun spread_outturn to_constant_prices",
+        "derive_observations schedule_overrun spread_outturn stage_availability to_constant_prices",
         "reference_class": "ClassFilter ReferenceClass TrendShift "
         "UpliftCurve build_class default_probability_grid empirical_quantile isotonic_adjust "
         "required_certainty smooth_curve trend_by_date uplift uplift_curve",
         "registry": "DEFAULT_ERA_CUTOFF DEFAULT_MIN_OUTTURN BenchmarkConstants DeflatorSeries "
         "INTERNATIONAL_ROADS Metric ProjectRecord QuantileMethod Stage StageEstimate Violation "
         "parse_benchmark_constants parse_deflator_series parse_project_records "
-        "parse_project_records_lenient stage_availability validate_record write_project_records",
+        "parse_project_records_lenient validate_record write_project_records",
         "smoothing": "loess_smooth pool_adjacent_violators",
         "stats": "DescriptiveStats TestResult descriptive_stats mann_whitney_u proportion_test",
         "validation": "LoovRow LoovSummary leave_one_out loov_summary write_loov_csv",

@@ -7,7 +7,10 @@ from the date the estimate was approved.
 
 When a project has no recorded yearly disbursements, the outturn is spread
 over the construction years with a standard disbursement profile chosen by
-construction duration.
+construction duration; the published rows are normalized once, here.
+
+The rules for whether a record yields an observation at a stage live here
+too, beside the derivation they gate.
 """
 
 from __future__ import annotations
@@ -18,21 +21,11 @@ from datetime import date
 from typing import Mapping, Sequence
 
 from .errors import DataFormatError
-from .registry import (
-    DEFAULT_ERA_CUTOFF,
-    DeflatorSeries,
-    Metric,
-    ProjectRecord,
-    Stage,
-    _STAGES,
-    construction_period,
-    has_cost_data,
-    has_schedule_data,
-)
+from .registry import DAYS_PER_YEAR, DEFAULT_ERA_CUTOFF, DeflatorSeries, Metric, ProjectRecord, Stage, _STAGES
 
 # Standard disbursement profiles, percent of outturn per project year,
 # keyed by construction duration. Stored verbatim as published: the 4-, 6-
-# and 10-year rows sum to 101, 101 and 99, so renormalize before spreading.
+# and 10-year rows sum to 101, 101 and 99.
 DISBURSEMENT_PROFILE_PERCENTS: dict[int, tuple[int, ...]] = {
     1: (100,),
     2: (49, 51),
@@ -46,23 +39,11 @@ DISBURSEMENT_PROFILE_PERCENTS: dict[int, tuple[int, ...]] = {
     10: (2, 3, 7, 14, 21, 22, 15, 8, 4, 3),
 }
 
-_NORMALIZED_SUM_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True, slots=True)
-class DisbursementProfile:
-    """Share of spending per project year.
-
-    ``shares`` holds the published integer percentages until
-    :func:`renormalize_profile` rescales them to fractions summing to one.
-    """
-
-    duration_years: int
-    shares: tuple[float, ...]
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(math.fsum(self.shares) - 1.0) <= _NORMALIZED_SUM_TOLERANCE
+#: The same rows as shares summing to one. Each is the correctly rounded
+#: quotient of two integers, so no row needs renormalizing at the point of use.
+DISBURSEMENT_SHARES: dict[int, tuple[float, ...]] = {
+    years: tuple(p / sum(row) for p in row) for years, row in DISBURSEMENT_PROFILE_PERCENTS.items()
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,37 +71,14 @@ class OverrunObservation:
             )
 
 
-def disbursement_profile(duration_years: int) -> DisbursementProfile:
-    """Return the published profile row for a whole-year duration, verbatim."""
+def spread_outturn(total_nominal: float, first_year: int, duration_years: int) -> dict[int, float]:
+    """Spread a nominal total across consecutive years by the profile for
+    a whole-year duration (1-10)."""
 
-    if duration_years not in DISBURSEMENT_PROFILE_PERCENTS:
+    shares = DISBURSEMENT_SHARES.get(duration_years)
+    if shares is None:
         raise ValueError(f"no disbursement profile for {duration_years} years (1-10 supported)")
-    row = DISBURSEMENT_PROFILE_PERCENTS[duration_years]
-    return DisbursementProfile(duration_years, tuple(float(p) for p in row))
-
-
-def renormalize_profile(profile: DisbursementProfile) -> DisbursementProfile:
-    """Rescale shares to sum to one; published rows may sum to 99 or 101."""
-
-    if any(s < 0 for s in profile.shares):
-        raise ValueError("profile shares must be non-negative")
-    total = math.fsum(profile.shares)
-    if total <= 0:
-        raise ValueError("profile shares sum to zero, cannot renormalize")
-    return DisbursementProfile(profile.duration_years, tuple(s / total for s in profile.shares))
-
-
-def spread_outturn(
-    total_nominal: float, first_year: int, profile: DisbursementProfile
-) -> dict[int, float]:
-    """Spread a nominal total across consecutive years by profile share."""
-
-    if not profile.is_normalized:
-        raise ValueError("profile must be renormalized before spreading")
-    return {
-        first_year + offset: total_nominal * share
-        for offset, share in enumerate(profile.shares)
-    }
+    return {first_year + offset: total_nominal * share for offset, share in enumerate(shares)}
 
 
 def to_constant_prices(
@@ -167,6 +125,52 @@ def schedule_overrun(reference: date, planned_completion: date, actual_completio
     return (actual_days - planned_days) / planned_days
 
 
+def construction_period(record: ProjectRecord) -> tuple[int, int] | None:
+    """The first construction year and the construction duration to the
+    nearest whole year, clamped to the 1-10 range the disbursement profiles
+    cover: the years a record's outturn is spread over when it has no
+    recorded disbursements.
+
+    Falls back to the Category A upgrade date when no construction start is
+    recorded. None when no positive duration can be established.
+    """
+
+    start = record.construction_start or record.stages[Stage.A].upgrade_date
+    if start is None or record.actual_completion is None:
+        return None
+    days = (record.actual_completion - start).days
+    if days <= 0:
+        return None
+    return start.year, min(10, max(1, round(days / DAYS_PER_YEAR)))
+
+
+def has_cost_data(record: ProjectRecord, stage: Stage) -> bool:
+    """True when a cost overrun at this stage is computable from the record
+    alone (deflator coverage is checked later, at derivation time)."""
+
+    est = record.stages[stage]
+    if est.upgrade_date is None or est.base is None or est.base <= 0:
+        return False
+    if est.price_level_year is None:
+        return False
+    if record.outturn_nominal is None or record.outturn_nominal <= 0:
+        return False
+    if record.disbursements is not None:
+        return True
+    # Without actual disbursements the outturn is spread over construction
+    # years, which needs a construction period of positive length.
+    return construction_period(record) is not None
+
+
+def has_schedule_data(record: ProjectRecord, stage: Stage) -> bool:
+    est = record.stages[stage]
+    if est.upgrade_date is None or est.planned_completion is None:
+        return False
+    if record.actual_completion is None:
+        return False
+    return est.planned_completion > est.upgrade_date and record.actual_completion > est.upgrade_date
+
+
 def _yearly_spending(record: ProjectRecord) -> dict[int, float]:
     """Nominal spending per year: the recorded disbursements, else the
     outturn spread over the construction period (which ``has_cost_data``
@@ -174,9 +178,7 @@ def _yearly_spending(record: ProjectRecord) -> dict[int, float]:
 
     if record.disbursements is not None:
         return {year: float(amount) for year, amount in record.disbursements.items()}
-    first_year, duration = construction_period(record)
-    profile = renormalize_profile(disbursement_profile(duration))
-    return spread_outturn(float(record.outturn_nominal), first_year, profile)
+    return spread_outturn(float(record.outturn_nominal), *construction_period(record))
 
 
 def derive_observations(
@@ -249,3 +251,16 @@ def derive_all_observations(
     for record in records:
         observations.extend(derive_observations(record, deflators, era_cutoff))
     return observations
+
+
+def stage_availability(records: Sequence[ProjectRecord]) -> dict[tuple[Stage, Metric], int]:
+    """Count records with a computable overrun, per stage and metric."""
+
+    counts = {(stage, metric): 0 for stage in Stage for metric in Metric}
+    for record in records:
+        for stage in _STAGES:
+            if has_cost_data(record, stage):
+                counts[(stage, Metric.COST)] += 1
+            if has_schedule_data(record, stage):
+                counts[(stage, Metric.SCHEDULE)] += 1
+    return counts

@@ -20,18 +20,25 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from datetime import date
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import EmptyClassError, InsufficientDataError, NonMonotoneCurveError
 from .normalization import OverrunObservation
 from .registry import DEFAULT_DEGREE, DEFAULT_ERA_CUTOFF, DEFAULT_GRID_STEP, DEFAULT_METHOD, DEFAULT_MIN_OUTTURN
 from .registry import DEFAULT_SPAN, MAX_GRID_STEP, MIN_GRID_STEP, Metric, QuantileMethod, Stage
-from .stats import TestResult, mann_whitney_u
+
+if TYPE_CHECKING:
+    from .stats import TestResult
 
 # The loess fit and the isotonic repair import .smoothing, and numpy with
-# it, where they run, so a command that never smooths starts without numpy.
+# it, where they run, so a command that never smooths starts without numpy;
+# the date trend imports .stats the same way for its rank test.
 
 logger = logging.getLogger(__name__)
+# Logging output is the application's choice. Without a handler on the
+# package's logger, a warning would reach stderr through logging's
+# last-resort handler.
+logging.getLogger(__package__).addHandler(logging.NullHandler())
 
 _GRID_EPS = 1e-9
 
@@ -345,6 +352,7 @@ def trend_by_date(
             f"trend needs at least 4 dated observations, got {len(dated)}"
         )
     from .smoothing import _loess_sorted
+    from .stats import mann_whitney_u
 
     # Each date as a year plus the fraction of that year gone by. Fractions
     # grow strictly with the date, so the dated order is the fit's x order.

@@ -602,62 +602,3 @@ def parse_benchmark_constants(source: str | IO[str]) -> dict[str, BenchmarkConst
             # The constants' own checks already name the label.
             raise DataFormatError(str(exc)) from None
     return result
-
-
-def construction_period(record: ProjectRecord) -> tuple[int, int] | None:
-    """The first construction year and the construction duration to the
-    nearest whole year, clamped to the 1-10 range the disbursement profiles
-    cover: the years a record's outturn is spread over when it has no
-    recorded disbursements.
-
-    Falls back to the Category A upgrade date when no construction start is
-    recorded. None when no positive duration can be established.
-    """
-
-    start = record.construction_start or record.stages[Stage.A].upgrade_date
-    if start is None or record.actual_completion is None:
-        return None
-    days = (record.actual_completion - start).days
-    if days <= 0:
-        return None
-    return start.year, min(10, max(1, round(days / DAYS_PER_YEAR)))
-
-
-def has_cost_data(record: ProjectRecord, stage: Stage) -> bool:
-    """True when a cost overrun at this stage is computable from the record
-    alone (deflator coverage is checked later, at derivation time)."""
-
-    est = record.stages[stage]
-    if est.upgrade_date is None or est.base is None or est.base <= 0:
-        return False
-    if est.price_level_year is None:
-        return False
-    if record.outturn_nominal is None or record.outturn_nominal <= 0:
-        return False
-    if record.disbursements is not None:
-        return True
-    # Without actual disbursements the outturn is spread over construction
-    # years, which needs a construction period of positive length.
-    return construction_period(record) is not None
-
-
-def has_schedule_data(record: ProjectRecord, stage: Stage) -> bool:
-    est = record.stages[stage]
-    if est.upgrade_date is None or est.planned_completion is None:
-        return False
-    if record.actual_completion is None:
-        return False
-    return est.planned_completion > est.upgrade_date and record.actual_completion > est.upgrade_date
-
-
-def stage_availability(records: Sequence[ProjectRecord]) -> dict[tuple[Stage, Metric], int]:
-    """Count records with a computable overrun, per stage and metric."""
-
-    counts = {(stage, metric): 0 for stage in Stage for metric in Metric}
-    for record in records:
-        for stage in _STAGES:
-            if has_cost_data(record, stage):
-                counts[(stage, Metric.COST)] += 1
-            if has_schedule_data(record, stage):
-                counts[(stage, Metric.SCHEDULE)] += 1
-    return counts

@@ -9,8 +9,9 @@ every power of every term, and gathers each window through indices filled
 row by row), Fisher's test builds a Fraction per table, the rank-sum
 test ranks through an argsort and a scan for ties, the date trend
 converts each observation's date on its own and hands loess unsorted
-points, and the registry parse makes a new object for every cell and
-keeps every record's report. Most are quadratic or worse, so tests call
+points, the registry parse makes a new object for every cell and keeps
+every record's report, and the outturn spread renormalizes the published
+profile row on every call. Most are quadratic or worse, so tests call
 them on small inputs only.
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from refclass import registry, smoothing, stats
 from refclass.errors import DataFormatError, InsufficientDataError, RecordConsistencyError, shortened
-from refclass.normalization import OverrunObservation
+from refclass.normalization import DISBURSEMENT_PROFILE_PERCENTS, OverrunObservation
 from refclass.reference_class import QuantileMethod, ReferenceClass, TrendPoint, TrendShift
 from refclass.stats import TestResult
 from refclass.validation import LoovRow
@@ -360,3 +361,19 @@ def parse_project_records(source: Iterable[str] | IO[str]) -> list[registry.Proj
         if problems:
             raise RecordConsistencyError("; ".join(v.message for v in problems))
     return records
+
+
+def disbursement_shares(duration_years: int) -> tuple[float, ...]:
+    """The published row for a duration, renormalized: the row as floats,
+    each divided by their fsum."""
+
+    row = [float(p) for p in DISBURSEMENT_PROFILE_PERCENTS[duration_years]]
+    total = math.fsum(row)
+    return tuple(p / total for p in row)
+
+
+def spread_outturn(total_nominal: float, first_year: int, duration_years: int) -> dict[int, float]:
+    """The outturn spread by a row renormalized for this call."""
+
+    shares = disbursement_shares(duration_years)
+    return {first_year + offset: total_nominal * share for offset, share in enumerate(shares)}

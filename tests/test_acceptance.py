@@ -17,12 +17,7 @@ from conftest import make_class
 from refclass.cli import main
 from refclass.contingency import DEFAULT_TIER_SCHEME, tier_allocation
 from refclass.formatting import round_half_away
-from refclass.normalization import (
-    DISBURSEMENT_PROFILE_PERCENTS,
-    disbursement_profile,
-    renormalize_profile,
-    spread_outturn,
-)
+from refclass.normalization import DISBURSEMENT_PROFILE_PERCENTS, DISBURSEMENT_SHARES, spread_outturn
 from refclass.reference_class import (
     QuantileMethod,
     UpliftCurve,
@@ -131,15 +126,14 @@ def test_criterion_03_disbursement_profiles():
         if sum(row) != expected_sums.get(duration, 100):
             failures.append(f"row {duration} sums to {sum(row)}")
     for duration in range(1, 11):
-        profile = renormalize_profile(disbursement_profile(duration))
-        if abs(math.fsum(profile.shares) - 1.0) > 1e-9:
-            failures.append(f"renormalized row {duration} sum")
-        spread = spread_outturn(100.0, 2000, profile)
+        if abs(math.fsum(DISBURSEMENT_SHARES[duration]) - 1.0) > 1e-9:
+            failures.append(f"normalized row {duration} sum")
+        spread = spread_outturn(100.0, 2000, duration)
         if abs(math.fsum(spread.values()) - 100.0) > 1e-9:
             failures.append(f"spread row {duration} total")
         if len(spread) != duration:
             failures.append(f"spread row {duration} length")
-    conclude(3, "disbursement profiles verbatim; renormalize and spread conserve to 1e-9", failures)
+    conclude(3, "disbursement profiles verbatim; normalized rows and spreads conserve to 1e-9", failures)
 
 
 def test_criterion_04_quantile_conventions():

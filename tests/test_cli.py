@@ -534,18 +534,20 @@ import json, sys
 from refclass.cli import main
 
 assert main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith(("refclass.", "numpy", "concurrent.")))))
+prefixes = ("refclass.", "numpy", "concurrent.", "logging")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(prefixes))))
 """
 
 # check runs only the registry parser. No command needs a thread pool
-# (concurrent.futures); the probe keeps it as a guard against one.
+# (concurrent.futures); the probe keeps it as a guard against one. Only the
+# reference-class module logs, and only benchmark uses refclass.stats.
 _OPTIONAL_MODULES = {"refclass.normalization", "refclass.reference_class", "refclass.stats",
                      "refclass.benchmarking", "refclass.contingency", "refclass.validation",
-                     "refclass.plot", "refclass.smoothing", "numpy", "concurrent.futures"}
+                     "refclass.plot", "refclass.smoothing", "numpy", "concurrent.futures", "logging"}
 
 
 _CLASS = ["--stage", "C", "--metric", "cost"]
-_RUNS_CLASSES = {"refclass.normalization", "refclass.reference_class", "refclass.stats"}
+_RUNS_CLASSES = {"refclass.normalization", "refclass.reference_class", "logging"}
 _SMOOTHS = {"refclass.smoothing", "numpy"}
 # Per command: its arguments, and which of the optional modules it loads.
 _COMMAND_MODULES = {
@@ -554,7 +556,7 @@ _COMMAND_MODULES = {
     "uplift": (["uplift", *_CLASS], _RUNS_CLASSES),
     "uplift-smooth": (["uplift", *_CLASS, "--smooth"], _RUNS_CLASSES | _SMOOTHS),
     "validate": (["validate", *_CLASS], _RUNS_CLASSES | {"refclass.validation"}),
-    "benchmark": (["benchmark"], _RUNS_CLASSES | {"refclass.benchmarking"}),
+    "benchmark": (["benchmark"], _RUNS_CLASSES | {"refclass.benchmarking", "refclass.stats"}),
     "curve": (["curve", *_CLASS], _RUNS_CLASSES | _SMOOTHS | {"refclass.plot"}),
     "tiers": (["tiers", *_CLASS, "--base", "100000"], _RUNS_CLASSES | _SMOOTHS | {"refclass.contingency"}),
 }

@@ -1,38 +1,41 @@
 import dataclasses
 import io
 import math
-from datetime import date
+from datetime import date, timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
+from refclass import normalization
 from refclass.errors import DataFormatError, DeflatorCoverageError
 from refclass.normalization import (
     DISBURSEMENT_PROFILE_PERCENTS,
+    DISBURSEMENT_SHARES,
+    construction_period,
     cost_overrun,
     derive_all_observations,
     derive_observations,
-    disbursement_profile,
-    renormalize_profile,
+    has_cost_data,
     schedule_overrun,
     spread_outturn,
+    stage_availability,
     to_constant_prices,
 )
 from refclass.registry import (
+    DAYS_PER_YEAR,
     DeflatorSeries,
     Metric,
     ProjectRecord,
     Stage,
     StageEstimate,
-    construction_period,
-    has_cost_data,
     parse_deflator_series,
-    stage_availability,
 )
 
 # The published yearly spending shares, as integer percentages. Rows for
 # 4- and 6-year projects sum to 101 and the 10-year row to 99; they are
-# stored verbatim and renormalized only at the point of use.
+# stored verbatim and normalized once, into DISBURSEMENT_SHARES.
 PUBLISHED_PROFILES = {
     1: (100,),
     2: (49, 51),
@@ -67,47 +70,42 @@ def test_profile_row_sums():
     [(3, (17.0, 65.0, 18.0)), (1, (100.0,)), (5, (6.0, 22.0, 43.0, 23.0, 6.0))],
 )
 def test_profile_lookup(years, expected):
-    profile = disbursement_profile(years)
-    assert profile.duration_years == years
-    assert profile.shares == expected
+    # These rows sum to 100, so each share is its percentage over 100.
+    assert DISBURSEMENT_PROFILE_PERCENTS[years] == expected
+    assert DISBURSEMENT_SHARES[years] == tuple(p / 100 for p in expected)
 
 
 @pytest.mark.parametrize("years", [0, 11, -3])
 def test_profile_lookup_out_of_range(years):
     with pytest.raises(ValueError):
-        disbursement_profile(years)
+        spread_outturn(100, 2000, years)
 
 
 def test_renormalize_exact_row_unchanged():
-    profile = renormalize_profile(disbursement_profile(3))
-    assert profile.shares == pytest.approx((0.17, 0.65, 0.18), abs=1e-12)
-    assert profile.is_normalized
+    shares = DISBURSEMENT_SHARES[3]
+    assert shares == pytest.approx((0.17, 0.65, 0.18), abs=1e-12)
+    assert math.fsum(shares) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("years, published_sum", [(4, 101), (10, 99)])
 def test_renormalize_scales_off_sum_rows(years, published_sum):
-    raw = disbursement_profile(years)
-    scaled = renormalize_profile(raw)
-    for raw_share, share in zip(raw.shares, scaled.shares):
-        assert share == pytest.approx(raw_share / published_sum, rel=1e-12)
-    assert math.fsum(scaled.shares) == pytest.approx(1.0, abs=1e-9)
+    shares = DISBURSEMENT_SHARES[years]
+    for percent, share in zip(DISBURSEMENT_PROFILE_PERCENTS[years], shares, strict=True):
+        assert share == pytest.approx(percent / published_sum, rel=1e-12)
+    assert math.fsum(shares) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_renormalize_rejects_zero_profile():
-    from refclass.normalization import DisbursementProfile
-
-    with pytest.raises(ValueError):
-        renormalize_profile(DisbursementProfile(2, (0.0, 0.0)))
+@pytest.mark.parametrize("years", range(1, 11))
+def test_shares_match_the_per_call_renormalization(years):
+    assert DISBURSEMENT_SHARES[years] == oracles.disbursement_shares(years)
 
 
 def test_spread_single_year():
-    profile = renormalize_profile(disbursement_profile(1))
-    assert spread_outturn(100, 2000, profile) == {2000: pytest.approx(100.0)}
+    assert spread_outturn(100, 2000, 1) == {2000: pytest.approx(100.0)}
 
 
 def test_spread_three_year_row():
-    profile = renormalize_profile(disbursement_profile(3))
-    spread = spread_outturn(100, 2000, profile)
+    spread = spread_outturn(100, 2000, 3)
     assert spread == {
         2000: pytest.approx(17.0),
         2001: pytest.approx(65.0),
@@ -116,14 +114,8 @@ def test_spread_three_year_row():
 
 
 def test_spread_two_year_row():
-    profile = renormalize_profile(disbursement_profile(2))
-    spread = spread_outturn(200, 1999, profile)
+    spread = spread_outturn(200, 1999, 2)
     assert spread == {1999: pytest.approx(98.0), 2000: pytest.approx(102.0)}
-
-
-def test_spread_requires_normalized_profile():
-    with pytest.raises(ValueError):
-        spread_outturn(100, 2000, disbursement_profile(3))
 
 
 @given(
@@ -131,8 +123,7 @@ def test_spread_requires_normalized_profile():
     years=st.integers(min_value=1, max_value=10),
 )
 def test_spread_conserves_total(total, years):
-    profile = renormalize_profile(disbursement_profile(years))
-    spread = spread_outturn(total, 2000, profile)
+    spread = spread_outturn(total, 2000, years)
     assert len(spread) == years
     assert math.fsum(spread.values()) == pytest.approx(total, rel=1e-9)
 
@@ -380,7 +371,24 @@ _registry_records = st.builds(
 )
 
 
-@given(st.lists(_registry_records, max_size=6))
+def _spread_record(record, start, years, outturn):
+    completion = start + timedelta(days=round(years * DAYS_PER_YEAR))
+    return dataclasses.replace(
+        record, construction_start=start, actual_completion=completion, outturn_nominal=outturn, disbursements=None
+    )
+
+
+# The same records with no disbursements, a positive outturn and 1 to 10
+# years of construction, so that a stage with cost data has its outturn
+# spread by profile. Few records drawn from _registry_records alone take
+# that path.
+_spread_records = st.builds(
+    _spread_record, _registry_records, _days, st.integers(min_value=1, max_value=10),
+    st.integers(min_value=1, max_value=10**6),
+)
+
+
+@given(st.lists(_registry_records | _spread_records, max_size=6))
 def test_stage_availability_counts_what_derive_emits(records):
     # The series covers every year a record can spend in: 2004 plus the
     # ten years of the longest disbursement profile.
@@ -389,3 +397,12 @@ def test_stage_availability_counts_what_derive_emits(records):
     for o in observations:
         emitted[(o.stage, o.metric)] += 1
     assert stage_availability(records) == emitted
+
+
+@given(st.lists(_registry_records | _spread_records, max_size=6))
+def test_derive_matches_a_derive_spreading_through_the_oracle(records):
+    # A rising series, so each year's share of the outturn is weighed apart.
+    series = DeflatorSeries.from_pairs([(year, 1.0 + 0.03 * (year - 1990)) for year in range(1990, 2016)])
+    derived = derive_all_observations(records, series)
+    with mock.patch.object(normalization, "spread_outturn", oracles.spread_outturn):
+        assert derive_all_observations(records, series) == derived

@@ -11,7 +11,7 @@ import corpus
 import refclass
 from refclass.benchmarking import benchmark_report, phase_breakdown
 from refclass.contingency import DEFAULT_TIER_SCHEME, portfolio_pool, tier_allocation
-from refclass.normalization import derive_all_observations, disbursement_profile
+from refclass.normalization import derive_all_observations
 from refclass.reference_class import ClassFilter, build_class, trend_by_date, uplift_curve
 from refclass.registry import INTERNATIONAL_ROADS, Metric, Stage, Violation, parse_deflator_series
 from refclass.stats import descriptive_stats
@@ -48,7 +48,7 @@ def _one_of_each() -> list:
     allocation = tier_allocation(1000, curve, DEFAULT_TIER_SCHEME)
     return [
         records[0].stages[Stage.C], records[0], Violation("code", "message"), series,
-        INTERNATIONAL_ROADS, disbursement_profile(3), observations[0], reference.filter,
+        INTERNATIONAL_ROADS, observations[0], reference.filter,
         reference, curve, trend[0], shift, descriptive_stats(reference.values), shift.test,
         rows[0], loov_summary(rows, 0.5), report.rows[0], report, phases[0], aggregate,
         DEFAULT_TIER_SCHEME, allocation.tranches[0], allocation,

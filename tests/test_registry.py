@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 import corpus
 import oracles
 from refclass.errors import DataFormatError, DeflatorCoverageError, RecordConsistencyError
+from refclass.normalization import stage_availability
 from refclass.registry import (
     INTERNATIONAL_ROADS,
     MAX_MONEY,
@@ -22,7 +23,6 @@ from refclass.registry import (
     parse_deflator_series,
     parse_project_records,
     parse_project_records_lenient,
-    stage_availability,
     validate_record,
     write_project_records,
 )
