@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import sys
 from datetime import date
 from pathlib import Path
@@ -542,4 +543,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    """Run the CLI as its own process, on one BLAS thread.
+
+    numpy's bundled OpenBLAS reads this variable when numpy is first
+    imported, and by default starts a worker thread that spins while numpy
+    loads. No fit here is large enough for a second thread to pay, so the
+    process asks for one unless the user has set a count. ``main`` leaves
+    the environment alone for in-process callers.
+    """
+
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from decimal import Decimal
 
 
 def round_half_away(x: float) -> int:
@@ -35,6 +34,8 @@ def certainty_text(p: float) -> str:
 
     if _on_percent_grid(p):
         return f"{p:.2f}"
+    from decimal import Decimal  # only an off-grid level needs it
+
     return format(Decimal(repr(p)), "f")
 
 
@@ -44,6 +45,8 @@ def certainty_percent(p: float) -> str:
 
     if _on_percent_grid(p):
         return f"{round(p * 100):d}"
+    from decimal import Decimal
+
     return format(Decimal(repr(p)).scaleb(2).normalize(), "f")
 
 

@@ -75,7 +75,9 @@ def spread_outturn(total_nominal: float, first_year: int, duration_years: int) -
     """Spread a nominal total across consecutive years by the profile for
     a whole-year duration (1-10)."""
 
-    shares = DISBURSEMENT_SHARES.get(duration_years)
+    # True == 1 and 3.0 == 3 would pass the lookup alone.
+    whole = isinstance(duration_years, int) and not isinstance(duration_years, bool)
+    shares = DISBURSEMENT_SHARES.get(duration_years) if whole else None
     if shares is None:
         raise ValueError(f"no disbursement profile for {duration_years} years (1-10 supported)")
     return {first_year + offset: total_nominal * share for offset, share in enumerate(shares)}

@@ -15,7 +15,6 @@ names them.
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
@@ -32,13 +31,8 @@ if TYPE_CHECKING:
 
 # The loess fit and the isotonic repair import .smoothing, and numpy with
 # it, where they run, so a command that never smooths starts without numpy;
-# the date trend imports .stats the same way for its rank test.
-
-logger = logging.getLogger(__name__)
-# Logging output is the application's choice. Without a handler on the
-# package's logger, a warning would reach stderr through logging's
-# last-resort handler.
-logging.getLogger(__package__).addHandler(logging.NullHandler())
+# the date trend imports .stats the same way for its rank test. Only an
+# empty class logs, so logging too is imported where that warning is made.
 
 _GRID_EPS = 1e-9
 
@@ -161,7 +155,15 @@ def build_class(
         and not (class_filter.exclude_pre_era and o.pre_era)
     )
     if not kept:
-        logger.warning(
+        import logging
+
+        # Logging output is the application's choice. Without a handler on
+        # the package's logger, a warning would reach stderr through
+        # logging's last-resort handler.
+        package_logger = logging.getLogger(__package__)
+        if not package_logger.handlers:
+            package_logger.addHandler(logging.NullHandler())
+        logging.getLogger(__name__).warning(
             "reference class is empty: stage %s, metric %s, min outturn %d",
             class_filter.stage,
             class_filter.metric,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -569,6 +568,8 @@ _JSON_KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"
 
 def parse_benchmark_constants(source: str | IO[str]) -> dict[str, BenchmarkConstants]:
     """Parse benchmark.json: a mapping from label to summary constants."""
+
+    import json  # only check and benchmark read this file
 
     text = source if isinstance(source, str) else source.read()
     try:

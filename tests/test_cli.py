@@ -533,21 +533,21 @@ _LOADED_MODULES_PROBE = """
 import json, sys
 from refclass.cli import main
 
-assert main(sys.argv[1:]) == 0
+code = main(sys.argv[1:])
 prefixes = ("refclass.", "numpy", "concurrent.", "logging")
-print(json.dumps(sorted(m for m in sys.modules if m.startswith(prefixes))))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(prefixes))]))
 """
 
 # check runs only the registry parser. No command needs a thread pool
-# (concurrent.futures); the probe keeps it as a guard against one. Only the
-# reference-class module logs, and only benchmark uses refclass.stats.
+# (concurrent.futures); the probe keeps it as a guard against one. Only an
+# empty reference class logs, and only benchmark uses refclass.stats.
 _OPTIONAL_MODULES = {"refclass.normalization", "refclass.reference_class", "refclass.stats",
                      "refclass.benchmarking", "refclass.contingency", "refclass.validation",
                      "refclass.plot", "refclass.smoothing", "numpy", "concurrent.futures", "logging"}
 
 
 _CLASS = ["--stage", "C", "--metric", "cost"]
-_RUNS_CLASSES = {"refclass.normalization", "refclass.reference_class", "logging"}
+_RUNS_CLASSES = {"refclass.normalization", "refclass.reference_class"}
 _SMOOTHS = {"refclass.smoothing", "numpy"}
 # Per command: its arguments, and which of the optional modules it loads.
 _COMMAND_MODULES = {
@@ -562,20 +562,93 @@ _COMMAND_MODULES = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_COMMAND_MODULES))
-def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
-    argv, loaded = _COMMAND_MODULES[command]
-    files = ["--projects", "data/projects.csv", "--deflators", "data/deflators.csv",
-             "--benchmark", "data/benchmark.json", "--out", str(tmp_path / "out")]
-    done = subprocess.run(
-        [sys.executable, "-c", _LOADED_MODULES_PROBE, *argv, *files],
+_SHIPPED_FILES = ["--projects", "data/projects.csv", "--deflators", "data/deflators.csv",
+                  "--benchmark", "data/benchmark.json"]
+# A fresh interpreter's environment, run from the repository root.
+_CHILD_ENV = {"PATH": os.environ.get("PATH", os.defpath), "PYTHONPATH": "src", "LC_ALL": "C.UTF-8"}
+
+
+def _run_child(args, out, env=_CHILD_ENV):
+    return subprocess.run(
+        [sys.executable, *args, *_SHIPPED_FILES, "--out", str(out)],
         capture_output=True,
         text=True,
         cwd=SHIPPED_DATA.parent,
-        env={"PATH": os.environ.get("PATH", os.defpath), "PYTHONPATH": "src", "LC_ALL": "C.UTF-8"},
+        env=env,
     )
+
+
+def _loaded_optional_modules(argv, out):
+    done = _run_child(["-c", _LOADED_MODULES_PROBE, *argv], out)
     assert done.returncode == 0, done.stderr
-    assert set(json.loads(done.stdout.splitlines()[-1])) & _OPTIONAL_MODULES == loaded
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    return code, set(modules) & _OPTIONAL_MODULES
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
+    argv, loaded = _COMMAND_MODULES[command]
+    assert _loaded_optional_modules(argv, tmp_path / "out") == (0, loaded)
+
+
+def test_an_empty_class_loads_logging(tmp_path):
+    argv = ["uplift", *_CLASS, "--min-outturn", "99999999"]
+    assert _loaded_optional_modules(argv, tmp_path / "out") == (3, _RUNS_CLASSES | {"logging"})
+
+
+def _blas_env(threads):
+    """The child environment, with numpy's OpenBLAS thread count set (None
+    leaves it unset). OpenBLAS reads it when numpy is imported."""
+
+    return _CHILD_ENV if threads is None else {**_CHILD_ENV, "OPENBLAS_NUM_THREADS": threads}
+
+
+# The argument lists above, plus a curve fine enough for the large-fit
+# loess path.
+_BLAS_RUNS = {**{name: argv for name, (argv, _) in _COMMAND_MODULES.items()},
+              "curve-fine": ["curve", *_CLASS, "--grid-step", "0.001"]}
+
+
+@pytest.mark.parametrize("command", sorted(_BLAS_RUNS))
+def test_blas_thread_count_changes_no_output_byte(command, tmp_path):
+    outputs = []
+    for threads in (None, "1", "2"):
+        out = tmp_path / f"out-{threads}"
+        done = _run_child(["-m", "refclass", *_BLAS_RUNS[command]], out, _blas_env(threads))
+        assert done.returncode == 0, done.stderr
+        written = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+        outputs.append((done.stdout, written))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+# Runs tiers through entrypoint, as the console script and python -m do,
+# then reports the BLAS setting and, on Linux, the process's thread count.
+_ENTRYPOINT_PROBE = """
+import json, os, re, sys
+from refclass.cli import entrypoint
+
+try:
+    entrypoint()
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+threads = None
+if sys.platform.startswith("linux"):
+    with open("/proc/self/status") as status:
+        threads = int(re.search(r"^Threads:\\s+(\\d+)", status.read(), re.M)[1])
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+@pytest.mark.parametrize("given, used", [(None, "1"), ("3", "3")])
+def test_entrypoint_runs_on_one_blas_thread_unless_told(given, used, tmp_path):
+    argv = _COMMAND_MODULES["tiers"][0]
+    done = _run_child(["-c", _ENTRYPOINT_PROBE, *argv], tmp_path / "out", _blas_env(given))
+    assert done.returncode == 0, done.stderr
+    blas, threads = json.loads(done.stdout.splitlines()[-1])
+    assert blas == used
+    if given is None and threads is not None:
+        assert threads == 1
 
 
 # The settings each command reads. Every command also takes the four file

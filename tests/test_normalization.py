@@ -81,6 +81,12 @@ def test_profile_lookup_out_of_range(years):
         spread_outturn(100, 2000, years)
 
 
+@pytest.mark.parametrize("years", [True, 3.0, 1.0])
+def test_spread_rejects_a_non_int_duration(years):
+    with pytest.raises(ValueError, match=f"no disbursement profile for {years} years"):
+        spread_outturn(100, 2000, years)
+
+
 def test_renormalize_exact_row_unchanged():
     shares = DISBURSEMENT_SHARES[3]
     assert shares == pytest.approx((0.17, 0.65, 0.18), abs=1e-12)
