@@ -26,12 +26,12 @@ _EXPORTS = {
         "errors": "DataFormatError DeflatorCoverageError EmptyClassError InsufficientDataError "
         "NonMonotoneCurveError RecordConsistencyError RefclassError",
         "normalization": "OverrunObservation cost_overrun derive_all_observations "
-        "derive_observations schedule_overrun spread_outturn stage_availability to_constant_prices",
+        "derive_observations schedule_overrun spread_outturn to_constant_prices",
         "reference_class": "ClassFilter ReferenceClass TrendShift "
         "UpliftCurve build_class default_probability_grid empirical_quantile isotonic_adjust "
         "required_certainty smooth_curve trend_by_date uplift uplift_curve",
         "registry": "DEFAULT_ERA_CUTOFF DEFAULT_MIN_OUTTURN BenchmarkConstants DeflatorSeries "
-        "INTERNATIONAL_ROADS Metric ProjectRecord QuantileMethod Stage StageEstimate Violation "
+        "Metric ProjectRecord QuantileMethod Stage StageEstimate Violation "
         "parse_benchmark_constants parse_deflator_series parse_project_records "
         "parse_project_records_lenient validate_record write_project_records",
         "smoothing": "loess_smooth pool_adjacent_violators",

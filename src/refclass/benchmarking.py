@@ -15,6 +15,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import IO, Mapping, Sequence
 
+from .errors import EmptyClassError
 from .reference_class import ReferenceClass
 from .registry import DAYS_PER_YEAR, BenchmarkConstants, Metric, ProjectRecord, Stage
 from .stats import TEST_NAMES, DescriptiveStats, TestResult, descriptive_stats, mann_whitney_u, proportion_test
@@ -54,9 +55,9 @@ def benchmark_report(
     raw_benchmark: Mapping[Metric, Sequence[float]] | None = None,
     durations_years: Sequence[float] | None = None,
 ) -> BenchmarkReport:
-    """Summarize each class and, where a raw benchmark sample exists, test
-    it against the benchmark (rank test for the mean, exact test for the
-    overrun frequency)."""
+    """Summarize each non-empty class and, where a raw benchmark sample
+    exists, test it against the benchmark (rank test for the mean, exact
+    test for the overrun frequency). EmptyClassError if every class is empty."""
 
     rows: list[BenchmarkRow] = []
     for stage, metric in sorted(classes, key=lambda key: (key[0], key[1].value)):
@@ -84,7 +85,7 @@ def benchmark_report(
             )
         )
     if not rows:
-        raise ValueError("no reference class has any observations")
+        raise EmptyClassError("no reference class has any observations")
 
     mean_duration = None
     if durations_years:

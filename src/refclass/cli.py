@@ -27,8 +27,8 @@ import click
 # Only what the option definitions need is imported here. Each command
 # imports the modules it runs, so no command loads another command's modules.
 from .errors import DataFormatError, EmptyClassError, NonMonotoneCurveError, RefclassError, shortened
-from .registry import DEFAULT_DEGREE, DEFAULT_ERA_CUTOFF, DEFAULT_GRID_STEP, DEFAULT_METHOD, DEFAULT_MIN_OUTTURN
-from .registry import DEFAULT_P_LEVELS, DEFAULT_SPAN, DEFAULT_TIERS, INTERNATIONAL_ROADS, LOESS_MIN_POINTS
+from .registry import DEFAULT_BENCHMARK_LABEL, DEFAULT_DEGREE, DEFAULT_ERA_CUTOFF, DEFAULT_GRID_STEP, DEFAULT_METHOD
+from .registry import DEFAULT_MIN_OUTTURN, DEFAULT_P_LEVELS, DEFAULT_SPAN, DEFAULT_TIERS, LOESS_MIN_POINTS
 from .registry import MAX_GRID_STEP, MAX_MONEY, MIN_GRID_STEP, Metric, QuantileMethod, Stage
 
 
@@ -399,7 +399,7 @@ def cmd_validate(stage: Stage, metric: Metric, levels, projects, deflators, era_
 @cli.command("benchmark")
 @_settings("projects", "deflators", "benchmark", "era_cutoff", "min_outturn", "out")
 @click.option("--benchmark-label", type=str, default=None,
-              help=f"Which label to use from the benchmark file (default: {INTERNATIONAL_ROADS.label}, else first).")
+              help=f"Which label to use from the benchmark file (default: {DEFAULT_BENCHMARK_LABEL}, else first).")
 def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, min_outturn,
                   out) -> None:
     """Descriptive comparison of every class against benchmark constants."""
@@ -412,7 +412,7 @@ def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, m
     projects, deflators = _required(projects, "projects"), _required(deflators, "deflators")
     available = {} if benchmark is None else _parse_file(benchmark, parse_benchmark_constants)
     if benchmark_label is None:
-        default = INTERNATIONAL_ROADS.label
+        default = DEFAULT_BENCHMARK_LABEL
         benchmark_label = default if default in available else min(available, default=None)
     elif benchmark_label not in available:
         _required(benchmark, "benchmark")
@@ -421,15 +421,12 @@ def cmd_benchmark(benchmark_label, projects, deflators, benchmark, era_cutoff, m
     constants = available.get(benchmark_label)
 
     records, observations = _observations(projects, deflators, era_cutoff)
-    # The report leaves out an empty class itself.
+    # The report leaves out an empty class itself, and refuses to be empty.
     classes = {
         (stage, metric): build_class(observations, ClassFilter(stage=stage, metric=metric, min_outturn=min_outturn))
         for stage in Stage
         for metric in Metric
     }
-    if all(reference.is_empty for reference in classes.values()):
-        raise EmptyClassError("no reference class has any observations")
-
     durations = [row.total_years for row in phase_breakdown(records)[0]]
     report = benchmark_report(classes, constants=constants, durations_years=durations)
 

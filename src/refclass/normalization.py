@@ -21,7 +21,8 @@ from datetime import date
 from typing import Mapping, Sequence
 
 from .errors import DataFormatError
-from .registry import DAYS_PER_YEAR, DEFAULT_ERA_CUTOFF, DeflatorSeries, Metric, ProjectRecord, Stage, _STAGES
+from .registry import _STAGES, DAYS_PER_YEAR, DEFAULT_ERA_CUTOFF, MAX_MONEY
+from .registry import DeflatorSeries, Metric, ProjectRecord, Stage
 
 # Standard disbursement profiles, percent of outturn per project year,
 # keyed by construction duration. Stored verbatim as published: the 4-, 6-
@@ -208,14 +209,18 @@ def derive_observations(
                 outturn_constant = to_constant_prices(yearly, deflators, est.price_level_year)
             except OverflowError:  # math.fsum's, when finite terms sum past the float range
                 outturn_constant = math.inf
-            # Index ratios far apart can take the outturn past the float range,
-            # or so far below the estimate that the overrun rounds to -1.
+            # Index ratios far apart can take the outturn past the float range or
+            # the bound every money cell has, or so far below the estimate that
+            # the overrun rounds to -1.
             value = cost_overrun(outturn_constant, float(est.base)) if outturn_constant > 0 else -1.0
-            if not -1 < value < math.inf:
-                bound, ratios = ("overflows to inf", "large") if value > 0 else ("underflows to -1", "small")
+            if not -1 < value < math.inf or outturn_constant > MAX_MONEY:
+                problem, ratios = (
+                    ("the cost overrun underflows to -1", "small") if value <= -1
+                    else ("the cost overrun overflows to inf", "large") if value == math.inf
+                    else (f"the outturn at {est.price_level_year} prices exceeds {MAX_MONEY}", "large")
+                )
                 raise DataFormatError(
-                    f"project {record.id}, stage {stage}: the cost overrun {bound} "
-                    f"(deflator index ratios too {ratios})"
+                    f"project {record.id}, stage {stage}: {problem} (deflator index ratios too {ratios})"
                 )
             observations.append(
                 OverrunObservation(
@@ -253,16 +258,3 @@ def derive_all_observations(
     for record in records:
         observations.extend(derive_observations(record, deflators, era_cutoff))
     return observations
-
-
-def stage_availability(records: Sequence[ProjectRecord]) -> dict[tuple[Stage, Metric], int]:
-    """Count records with a computable overrun, per stage and metric."""
-
-    counts = {(stage, metric): 0 for stage in Stage for metric in Metric}
-    for record in records:
-        for stage in _STAGES:
-            if has_cost_data(record, stage):
-                counts[(stage, Metric.COST)] += 1
-            if has_schedule_data(record, stage):
-                counts[(stage, Metric.SCHEDULE)] += 1
-    return counts

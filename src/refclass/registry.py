@@ -106,6 +106,9 @@ MAX_GRID_STEP = 0.99
 #: tier between P50 and P55; the preset pins the top of that range.
 DEFAULT_TIERS = (("contract", 0.55), ("project", 0.60), ("portfolio", 0.80))
 
+#: The benchmark file's entry compared against when no label is named.
+DEFAULT_BENCHMARK_LABEL = "international-roads"
+
 
 @dataclass(frozen=True, slots=True)
 class StageEstimate:
@@ -122,10 +125,6 @@ class StageEstimate:
     approved: int | None = None
     planned_completion: date | None = None
     price_level_year: int | None = None
-
-    @property
-    def is_blank(self) -> bool:
-        return all(getattr(self, f.name) is None for f in fields(self))
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,20 +245,6 @@ class BenchmarkConstants:
                 f"benchmark {shortened(self.label)}: mean_duration_years must be a positive finite number, "
                 f"got {self.mean_duration_years}"
             )
-
-
-#: Published road-project comparison group used as the default external anchor.
-INTERNATIONAL_ROADS = BenchmarkConstants(
-    label="international-roads",
-    n_projects=863,
-    mean_cost_overrun=0.20,
-    cost_overrun_frequency=0.9,
-    cost_overrun_sd=0.30,
-    mean_schedule_overrun=0.38,
-    schedule_overrun_frequency=0.6,
-    schedule_overrun_sd=0.85,
-    mean_duration_years=5.5,
-)
 
 
 # Each cell parser takes the cell's text and the dict of the values its
@@ -443,14 +428,27 @@ def _row_to_record(row: Sequence[str], row_number: int, shared: dict) -> Project
     return ProjectRecord(stages=stages, **record_fields)
 
 
+def _csv_rows(source: Iterable[str] | IO[str]) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a CSV file, each with its row number (the header is row 1).
+    A row the csv module refuses (a cell past its field size limit, say)
+    raises DataFormatError when it is reached."""
+
+    row_number = 0
+    try:
+        for row_number, row in enumerate(csv.reader(source), start=1):
+            yield row_number, row
+    except csv.Error as exc:
+        raise DataFormatError(f"row {row_number + 1}: {exc}") from None
+
+
 def _read_records(source: Iterable[str] | IO[str]) -> Iterator[ProjectRecord]:
     """The proforma's records in file order. Structural problems (bad
     header, bad cell, duplicate id) raise DataFormatError when their row is
     reached; record-level consistency is left to the caller."""
 
-    reader = csv.reader(source)
+    rows = _csv_rows(source)
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise DataFormatError("projects file is empty (header row required)") from None
     if tuple(cell.strip() for cell in header) != PROJECT_COLUMNS:
@@ -461,7 +459,7 @@ def _read_records(source: Iterable[str] | IO[str]) -> Iterator[ProjectRecord]:
 
     seen: set[str] = set()
     shared: dict = {}  # this parse's dates and years, each once
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in rows:
         if not row or all(cell.strip() == "" for cell in row):
             continue
         if len(row) != len(PROJECT_COLUMNS):
@@ -532,16 +530,16 @@ def write_project_records(records: Sequence[ProjectRecord], sink: IO[str]) -> No
 
 
 def parse_deflator_series(source: Iterable[str] | IO[str]) -> DeflatorSeries:
-    reader = csv.reader(source)
+    rows = _csv_rows(source)
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise DataFormatError("deflators file is empty (header row required)") from None
     if tuple(cell.strip() for cell in header) != ("year", "index"):
         raise DataFormatError("unexpected deflators header: expected year,index")
     pairs: list[tuple[int, float]] = []
     years: dict = {}
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in rows:
         if not row or all(cell.strip() == "" for cell in row):
             continue
         if len(row) != 2:
@@ -576,6 +574,10 @@ def parse_benchmark_constants(source: str | IO[str]) -> dict[str, BenchmarkConst
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"benchmark file is not valid JSON: {exc}") from None
+    except ValueError:  # int() refuses a number past its digit limit
+        raise DataFormatError("benchmark file holds a number with too many digits") from None
+    except RecursionError:
+        raise DataFormatError("benchmark file nests arrays or objects too deeply") from None
     if not isinstance(payload, dict):
         raise DataFormatError("benchmark file must hold an object keyed by label")
     numeric = [f for f in fields(BenchmarkConstants) if f.type in _JSON_KINDS]

@@ -16,6 +16,7 @@ from refclass.registry import (
     ProjectRecord,
     Stage,
     StageEstimate,
+    parse_benchmark_constants,
     write_project_records,
 )
 
@@ -24,7 +25,8 @@ HOSTILE_VALUES = [
     "", " ", "x", "-1", "0", "1.5", "1e309", "-1e309", "nan", "inf", "-inf",
     "99999999999999999999999", "2000-13-01", "1993-02-30", "0001-01-01", "9999-12-31",
     "1997:", ":5", "1997:1;1997:2", "1997:-5", "a;b", "é", "\x00", "\ufeff", "0x10",
-    "1_000", "+5", "--help", "=", "1e-300", "9" * 400,
+    "1_000", "+5", "--help", "=", "1e-300", "9" * 400, "1e300", "9" * 5000,
+    "9" * 131_073,  # one past the csv module's field size limit
 ]
 
 # The 18 Category C cost observations (project id, actual overrun fraction)
@@ -106,6 +108,9 @@ BENCHMARK_JSON = """{
   }
 }
 """
+
+#: The published road-project constants, as the benchmark file gives them.
+ROADS = parse_benchmark_constants(BENCHMARK_JSON)["international-roads"]
 
 
 def write_table2_corpus(directory) -> dict[str, str]:

@@ -17,7 +17,6 @@ them on small inputs only.
 
 from __future__ import annotations
 
-import csv
 import math
 from datetime import date
 from fractions import Fraction
@@ -325,9 +324,9 @@ def parse_project_records_lenient(
     """The lenient parse with a new object for every cell, and every
     record's report, keyed by id, doubling as the duplicate check."""
 
-    reader = csv.reader(source)
+    rows = registry._csv_rows(source)
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise DataFormatError("projects file is empty (header row required)") from None
     if tuple(cell.strip() for cell in header) != registry.PROJECT_COLUMNS:
@@ -337,7 +336,7 @@ def parse_project_records_lenient(
         )
     records: list[registry.ProjectRecord] = []
     reports: dict[str, list[registry.Violation]] = {}
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in rows:
         if not row or all(cell.strip() == "" for cell in row):
             continue
         if len(row) != len(registry.PROJECT_COLUMNS):

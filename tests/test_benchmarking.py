@@ -1,9 +1,11 @@
 import io
 import json
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 
+import corpus
 from refclass.benchmarking import (
     DEFAULT_MAPPING_NOTE,
     TEST_NAMES,
@@ -14,7 +16,8 @@ from refclass.benchmarking import (
     write_benchmark_json,
 )
 from refclass.reference_class import ReferenceClass
-from refclass.registry import INTERNATIONAL_ROADS, Metric, ProjectRecord, Stage, StageEstimate
+from refclass.errors import EmptyClassError
+from refclass.registry import Metric, ProjectRecord, Stage, StageEstimate, parse_benchmark_constants
 
 GOLDEN_CSV = """\
 measure,benchmark,cat_c,cat_b,cat_a,p_value,test
@@ -49,7 +52,9 @@ def _classes(values_by_key):
 
 
 def test_shipped_benchmark_constants():
-    c = INTERNATIONAL_ROADS
+    shipped = (Path(__file__).resolve().parents[1] / "data" / "benchmark.json").read_text()
+    c = parse_benchmark_constants(shipped)["international-roads"]
+    assert c == corpus.ROADS
     assert c.label == "international-roads"
     assert c.n_projects == 863
     assert (c.mean_cost_overrun, c.cost_overrun_frequency, c.cost_overrun_sd) == (0.20, 0.9, 0.30)
@@ -67,7 +72,7 @@ def test_report_rows_sorted_and_flagged():
         (Stage.C, Metric.SCHEDULE): [0.0, 0.4],
         (Stage.C, Metric.COST): [0.3, 0.5],
     })
-    report = benchmark_report(classes, constants=INTERNATIONAL_ROADS)
+    report = benchmark_report(classes, constants=corpus.ROADS)
     keys = [(row.stage, row.metric) for row in report.rows]
     assert keys == [
         (Stage.C, Metric.COST),
@@ -128,9 +133,9 @@ average_duration_years,,,,,,
 
 
 def test_empty_inputs_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyClassError, match="^no reference class has any observations$"):
         benchmark_report({})
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyClassError, match="^no reference class has any observations$"):
         benchmark_report(_classes({(Stage.C, Metric.COST): []}))
 
 
@@ -144,7 +149,7 @@ def test_empty_class_dropped_but_rest_kept():
 def test_csv_layout_frozen():
     report = benchmark_report(
         _classes({(Stage.C, Metric.COST): [0.1, 0.3, -0.1, 0.5]}),
-        constants=INTERNATIONAL_ROADS,
+        constants=corpus.ROADS,
         durations_years=[8.0, 10.0],
     )
     assert report.mean_duration_years == pytest.approx(9.0)
@@ -169,7 +174,7 @@ def test_csv_without_constants_leaves_benchmark_blank():
 def test_json_round_trips():
     report = benchmark_report(
         _classes({(Stage.C, Metric.COST): [0.1, 0.3, -0.1, 0.5]}),
-        constants=INTERNATIONAL_ROADS,
+        constants=corpus.ROADS,
         durations_years=[8.0, 10.0],
     )
     buffer = io.StringIO()

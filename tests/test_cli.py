@@ -1194,7 +1194,8 @@ def test_shipped_data_outputs_are_byte_stable(command, tmp_path, capsys):
 _hostile = st.one_of(st.sampled_from(corpus.HOSTILE_VALUES), st.text(max_size=6))
 # JSON tokens for one benchmark constant.
 _HOSTILE_JSON = ["null", "true", "false", '"0.2"', "-1", "0", "1e999", "-1e999", "NaN",
-                 "Infinity", "1.5", "863.5", "[]", "{}", "1e-400", "99999999999999999999999"]
+                 "Infinity", "1.5", "863.5", "[]", "{}", "1e-400", "99999999999999999999999",
+                 "1e300", "9" * 5000, "[" * 5000 + "]" * 5000]
 # --out takes only names inside the example's own directory, so no run
 # writes anywhere else.
 _HOSTILE_OUT = ["", " ", "projects.csv", "projects.csv/sub", "\x00", "é", "a" * 300]
@@ -1272,3 +1273,36 @@ def test_corrupted_inputs_never_end_in_a_traceback(corruption):
                     assert len(err.splitlines()) == 1 and err.startswith("error:"), (argv, err)
         finally:
             os.chdir(cwd)
+
+
+
+# Inputs past a limit of the csv or json module or of the money range, each
+# with the commands that refuse it; the other commands do not read it. The
+# 1e300 series passes check: every index is finite and so is every ratio to
+# the base year, but an outturn spent after 1996 converts to 1e300 times
+# itself at the price level of an estimate from 1996 or before.
+_OVER_LIMIT_INPUTS = {
+    "projects-long-cell": (("projects.csv", [(1, 1, "9" * 131_073)]), set(_COMMAND_MODULES)),
+    "deflators-long-cell": (("deflators.csv", [(1, 1, "9" * 131_073)]), set(_COMMAND_MODULES)),
+    "benchmark-deep-array": (("benchmark.json", ("n_projects", "[" * 100_000 + "]" * 100_000)),
+                             {"check", "benchmark"}),
+    "benchmark-long-integer": (("benchmark.json", ("n_projects", "9" * 5000)), {"check", "benchmark"}),
+    "deflators-1e300": (("deflators.csv", [(row, 1, "1e300" if int(year) <= 1996 else "1")
+                                           for row, (year, _) in enumerate(_shipped_rows("deflators.csv")[1:], 1)]),
+                        set(_COMMAND_MODULES) - {"check"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVER_LIMIT_INPUTS))
+def test_inputs_past_a_limit_exit_2_with_one_line(name, tmp_path, capsys, monkeypatch):
+    corruption, refused = _OVER_LIMIT_INPUTS[name]
+    _write_corrupted(tmp_path, *corruption)
+    monkeypatch.chdir(tmp_path)
+    for command, (argv, _) in sorted(_COMMAND_MODULES.items()):
+        code, out, err = run(capsys, *argv, "--config", "run.conf")
+        assert "Traceback" not in out + err, command
+        if command in refused:
+            assert (code, len(err.splitlines())) == (2, 1), (command, code, err)
+            assert err.startswith("error: "), command
+        else:
+            assert (code, err) == (0, ""), command

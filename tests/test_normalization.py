@@ -20,7 +20,6 @@ from refclass.normalization import (
     has_cost_data,
     schedule_overrun,
     spread_outturn,
-    stage_availability,
     to_constant_prices,
 )
 from refclass.registry import (
@@ -344,7 +343,6 @@ def test_zero_length_construction_has_no_cost_data():
     )
     assert construction_period(record) is None
     assert not has_cost_data(record, Stage.C)
-    assert stage_availability([record])[(Stage.C, Metric.COST)] == 0
     assert [o for o in derive_observations(record, flat_series()) if o.metric is Metric.COST] == []
 
 
@@ -392,17 +390,6 @@ _spread_records = st.builds(
     _spread_record, _registry_records, _days, st.integers(min_value=1, max_value=10),
     st.integers(min_value=1, max_value=10**6),
 )
-
-
-@given(st.lists(_registry_records | _spread_records, max_size=6))
-def test_stage_availability_counts_what_derive_emits(records):
-    # The series covers every year a record can spend in: 2004 plus the
-    # ten years of the longest disbursement profile.
-    observations = derive_all_observations(records, flat_series(1990, 2015))
-    emitted = {key: 0 for key in stage_availability([])}
-    for o in observations:
-        emitted[(o.stage, o.metric)] += 1
-    assert stage_availability(records) == emitted
 
 
 @given(st.lists(_registry_records | _spread_records, max_size=6))

@@ -13,7 +13,7 @@ from refclass.benchmarking import benchmark_report, phase_breakdown
 from refclass.contingency import DEFAULT_TIER_SCHEME, portfolio_pool, tier_allocation
 from refclass.normalization import derive_all_observations
 from refclass.reference_class import ClassFilter, build_class, trend_by_date, uplift_curve
-from refclass.registry import INTERNATIONAL_ROADS, Metric, Stage, Violation, parse_deflator_series
+from refclass.registry import Metric, Stage, Violation, parse_deflator_series
 from refclass.stats import descriptive_stats
 from refclass.validation import leave_one_out, loov_summary
 
@@ -42,13 +42,13 @@ def _one_of_each() -> list:
     curve = uplift_curve(reference)
     trend, shift = trend_by_date(reference.entries)
     rows = leave_one_out(reference)
-    report = benchmark_report({(Stage.C, Metric.COST): reference}, constants=INTERNATIONAL_ROADS,
+    report = benchmark_report({(Stage.C, Metric.COST): reference}, constants=corpus.ROADS,
                               raw_benchmark={Metric.COST: [0.1, 0.3, -0.05, 0.2]})
     phases, aggregate = phase_breakdown(records)
     allocation = tier_allocation(1000, curve, DEFAULT_TIER_SCHEME)
     return [
         records[0].stages[Stage.C], records[0], Violation("code", "message"), series,
-        INTERNATIONAL_ROADS, observations[0], reference.filter,
+        corpus.ROADS, observations[0], reference.filter,
         reference, curve, trend[0], shift, descriptive_stats(reference.values), shift.test,
         rows[0], loov_summary(rows, 0.5), report.rows[0], report, phases[0], aggregate,
         DEFAULT_TIER_SCHEME, allocation.tranches[0], allocation,

@@ -10,9 +10,8 @@ from hypothesis import example, given, strategies as st
 import corpus
 import oracles
 from refclass.errors import DataFormatError, DeflatorCoverageError, RecordConsistencyError
-from refclass.normalization import stage_availability
+from refclass.normalization import derive_all_observations
 from refclass.registry import (
-    INTERNATIONAL_ROADS,
     MAX_MONEY,
     Metric,
     PROJECT_COLUMNS,
@@ -89,9 +88,9 @@ def test_parse_single_stage_row():
     )
     (record,) = parse_text(text)
     assert record.id == "6736"
-    assert not record.stages[Stage.C].is_blank
-    assert record.stages[Stage.B].is_blank
-    assert record.stages[Stage.A].is_blank
+    assert record.stages[Stage.C] != StageEstimate()
+    assert record.stages[Stage.B] == StageEstimate()
+    assert record.stages[Stage.A] == StageEstimate()
     assert record.stages[Stage.C].base == 100000
     assert record.disbursements == {2000: 80000, 2001: 73000}
 
@@ -409,28 +408,12 @@ def test_deflators_out_of_range_lookup_names_year():
 
 
 def test_stage_availability_demo_counts(demo_records):
-    counts = stage_availability(demo_records)
-    assert [counts[(s, Metric.COST)] for s in Stage] == [23, 22, 20]
-    assert [counts[(s, Metric.SCHEDULE)] for s in Stage] == [22, 23, 25]
-
-
-def test_stage_availability_empty_corpus():
-    counts = stage_availability([])
-    assert all(v == 0 for v in counts.values())
-
-
-@given(st.sets(st.integers(min_value=0, max_value=24)))
-def test_stage_availability_monotone_under_deletion(kept):
-    records = corpus.demo_records()
-    full = stage_availability(records)
-    subset = stage_availability([records[i] for i in sorted(kept)])
-    for key in full:
-        assert subset[key] <= full[key]
-
-
-def test_benchmark_constants_parse_matches_builtin():
-    parsed = parse_benchmark_constants(corpus.BENCHMARK_JSON)
-    assert parsed["international-roads"] == INTERNATIONAL_ROADS
+    # What derive yields is the count of what the registry makes available.
+    series = parse_deflator_series(io.StringIO(corpus.demo_deflator_csv()))
+    observations = derive_all_observations(demo_records, series)
+    counts = {metric: [sum(o.stage is s and o.metric is metric for o in observations) for s in Stage]
+              for metric in Metric}
+    assert counts == {Metric.COST: [23, 22, 20], Metric.SCHEDULE: [22, 23, 25]}
 
 
 def test_benchmark_constants_missing_field():
