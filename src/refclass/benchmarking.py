@@ -116,7 +116,8 @@ def write_benchmark_csv(report: BenchmarkReport, sink: IO[str]) -> None:
     one measure per row, benchmark column first, then stages C, B, A.
 
     p-value and test columns are filled only where a test actually ran;
-    constants-only benchmarks leave them blank (unavailable, not 1.0).
+    constants-only benchmarks leave them blank (unavailable, not 1.0). A
+    one-member class leaves its SD cell blank too (undefined, not 0).
     """
 
     writer = csv.writer(sink, lineterminator="\n")
@@ -124,7 +125,8 @@ def write_benchmark_csv(report: BenchmarkReport, sink: IO[str]) -> None:
     c = report.constants
     for name, metric, field, constant_field, test_field in _MEASURES:
         rows = [report.row(stage, metric) for stage in Stage]
-        cells = ["" if row is None else f"{getattr(row.stats, field):.4f}" for row in rows]
+        cells = ["" if row is None or (field == "sd" and not row.stats.sd_defined)
+                 else f"{getattr(row.stats, field):.4f}" for row in rows]
         test = None if rows[0] is None or test_field is None else getattr(rows[0], test_field)
         writer.writerow([
             name,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Mapping, Sequence
 
-from .errors import DataFormatError
+from .errors import DataFormatError, DeflatorCoverageError
 from .registry import _STAGES, DAYS_PER_YEAR, DEFAULT_ERA_CUTOFF, MAX_MONEY
 from .registry import DeflatorSeries, Metric, ProjectRecord, Stage
 
@@ -192,7 +192,8 @@ def derive_observations(
     """Emit every computable overrun observation for one record.
 
     Stages lacking the needed fields are skipped silently; a deflator gap is
-    an error because the data claims more than the series can support.
+    an error, naming the project and stage, because the data claims more than
+    the series can support.
     """
 
     date_c = record.stages[Stage.C].upgrade_date
@@ -209,6 +210,8 @@ def derive_observations(
                 outturn_constant = to_constant_prices(yearly, deflators, est.price_level_year)
             except OverflowError:  # math.fsum's, when finite terms sum past the float range
                 outturn_constant = math.inf
+            except DeflatorCoverageError as exc:
+                raise DeflatorCoverageError(f"project {record.id}, stage {stage}: {exc}") from None
             # Index ratios far apart can take the outturn past the float range or
             # the bound every money cell has, or so far below the estimate that
             # the overrun rounds to -1.

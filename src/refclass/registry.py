@@ -7,6 +7,10 @@ Three file-backed inputs feed the toolkit:
 * ``deflators.csv`` -- a contiguous year -> price-index series.
 * ``benchmark.json`` -- published summary constants for external comparison.
 
+Both CSV files keep one set of rules, held by one table reader: a header of
+exactly the file's column names, rows of as many cells, blank rows skipped.
+Each benchmark constant's JSON kind and range sit on its own field.
+
 The command line's choices (enums), every option default and the valid ranges
 live here too, so its options are built without loading an analysis module.
 
@@ -209,42 +213,41 @@ class DeflatorSeries:
         return self.values[year - self.start_year]
 
 
+# A numeric benchmark constant's field metadata: the JSON kind the file must
+# give it (the types accepted, their name, and the conversion; a bool is an int
+# to Python, but never a number in the file), then its range rule (the words a
+# refusal quotes, and a test that NaN fails).
+_INTEGER = {"types": (int,), "kind": "an integer", "convert": int}
+_NUMBER = {"types": (int, float), "kind": "a number", "convert": float}
+_FINITE = {**_NUMBER, "rule": "be finite", "holds": math.isfinite}
+_SHARE = {**_NUMBER, "rule": "lie in [0, 1]", "holds": lambda value: 0 <= value <= 1}
+_NON_NEGATIVE = {**_NUMBER, "rule": "be a non-negative finite number", "holds": lambda value: 0 <= value < math.inf}
+
+
 @dataclass(frozen=True, slots=True)
 class BenchmarkConstants:
-    """Published summary statistics for an external comparison group."""
+    """Published summary statistics for an external comparison group. Each
+    field after ``label`` states its JSON kind and range in its metadata."""
 
     label: str
-    n_projects: int
-    mean_cost_overrun: float
-    cost_overrun_frequency: float
-    cost_overrun_sd: float
-    mean_schedule_overrun: float
-    schedule_overrun_frequency: float
-    schedule_overrun_sd: float
-    mean_duration_years: float
+    n_projects: int = field(metadata={**_INTEGER, "rule": "be >= 1", "holds": lambda value: value >= 1})
+    mean_cost_overrun: float = field(metadata=_FINITE)
+    cost_overrun_frequency: float = field(metadata=_SHARE)
+    cost_overrun_sd: float = field(metadata=_NON_NEGATIVE)
+    mean_schedule_overrun: float = field(metadata=_FINITE)
+    schedule_overrun_frequency: float = field(metadata=_SHARE)
+    schedule_overrun_sd: float = field(metadata=_NON_NEGATIVE)
+    mean_duration_years: float = field(
+        metadata={**_NUMBER, "rule": "be a positive finite number", "holds": lambda value: 0 < value < math.inf}
+    )
 
     def __post_init__(self) -> None:
-        for name in ("mean_cost_overrun", "mean_schedule_overrun"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"benchmark {shortened(self.label)}: {name} must be finite, got {value}")
-        if self.n_projects < 1:
-            raise ValueError(f"benchmark {shortened(self.label)}: n_projects must be >= 1")
-        for name in ("cost_overrun_frequency", "schedule_overrun_frequency"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"benchmark {shortened(self.label)}: {name} must lie in [0, 1], got {value}")
-        for name in ("cost_overrun_sd", "schedule_overrun_sd"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if not f.metadata["holds"](value):
                 raise ValueError(
-                    f"benchmark {shortened(self.label)}: {name} must be a non-negative finite number, got {value}"
+                    f"benchmark {shortened(self.label)}: {f.name} must {f.metadata['rule']}, got {value}"
                 )
-        if not 0 < self.mean_duration_years < math.inf:
-            raise ValueError(
-                f"benchmark {shortened(self.label)}: mean_duration_years must be a positive finite number, "
-                f"got {self.mean_duration_years}"
-            )
 
 
 # Each cell parser takes the cell's text and the dict of the values its
@@ -428,14 +431,28 @@ def _row_to_record(row: Sequence[str], row_number: int, shared: dict) -> Project
     return ProjectRecord(stages=stages, **record_fields)
 
 
-def _csv_rows(source: Iterable[str] | IO[str]) -> Iterator[tuple[int, list[str]]]:
-    """The rows of a CSV file, each with its row number (the header is row 1).
-    A row the csv module refuses (a cell past its field size limit, say)
-    raises DataFormatError when it is reached."""
+def _table_rows(
+    source: Iterable[str] | IO[str], what: str, names: tuple[str, ...]
+) -> Iterator[tuple[int, list[str]]]:
+    """The data rows of the ``what`` CSV file, each with its row number (the
+    header is row 1), skipping blank rows. The file's one contract: a header
+    of exactly ``names``, then rows of as many cells. A breach, or a row the
+    csv module refuses (a cell past its field size limit, say), raises
+    DataFormatError when its row is reached."""
 
+    rows = enumerate(csv.reader(source), start=1)
     row_number = 0
     try:
-        for row_number, row in enumerate(csv.reader(source), start=1):
+        row_number, header = next(rows, (0, None))
+        if header is None:
+            raise DataFormatError(f"{what} file is empty (header row required)")
+        if tuple(cell.strip() for cell in header) != names:
+            raise DataFormatError(f"unexpected {what} header: expected exactly {','.join(names)}")
+        for row_number, row in rows:
+            if not row or all(cell.strip() == "" for cell in row):
+                continue
+            if len(row) != len(names):
+                raise DataFormatError(f"row {row_number}: expected {len(names)} columns, got {len(row)}")
             yield row_number, row
     except csv.Error as exc:
         raise DataFormatError(f"row {row_number + 1}: {exc}") from None
@@ -446,26 +463,9 @@ def _read_records(source: Iterable[str] | IO[str]) -> Iterator[ProjectRecord]:
     header, bad cell, duplicate id) raise DataFormatError when their row is
     reached; record-level consistency is left to the caller."""
 
-    rows = _csv_rows(source)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise DataFormatError("projects file is empty (header row required)") from None
-    if tuple(cell.strip() for cell in header) != PROJECT_COLUMNS:
-        raise DataFormatError(
-            "unexpected projects header: expected exactly "
-            f"{','.join(PROJECT_COLUMNS)}"
-        )
-
     seen: set[str] = set()
     shared: dict = {}  # this parse's dates and years, each once
-    for row_number, row in rows:
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        if len(row) != len(PROJECT_COLUMNS):
-            raise DataFormatError(
-                f"row {row_number}: expected {len(PROJECT_COLUMNS)} columns, got {len(row)}"
-            )
+    for row_number, row in _table_rows(source, "projects", PROJECT_COLUMNS):
         record = _row_to_record(row, row_number, shared)
         if record.id in seen:
             raise DataFormatError(f"row {row_number}: duplicate project id {shortened(record.id)}")
@@ -530,38 +530,22 @@ def write_project_records(records: Sequence[ProjectRecord], sink: IO[str]) -> No
 
 
 def parse_deflator_series(source: Iterable[str] | IO[str]) -> DeflatorSeries:
-    rows = _csv_rows(source)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise DataFormatError("deflators file is empty (header row required)") from None
-    if tuple(cell.strip() for cell in header) != ("year", "index"):
-        raise DataFormatError("unexpected deflators header: expected year,index")
     pairs: list[tuple[int, float]] = []
     years: dict = {}
-    for row_number, row in rows:
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        if len(row) != 2:
-            raise DataFormatError(f"row {row_number}: expected 2 columns, got {len(row)}")
+    for row_number, (year_text, index_text) in _table_rows(source, "deflators", ("year", "index")):
         try:
-            year = _parse_year(row[0].strip(), years)
+            year = _parse_year(year_text.strip(), years)
         except ValueError as exc:
             raise DataFormatError(f"row {row_number}, column 'year': {exc}") from None
+        index_text = index_text.strip()
         try:
-            value = float(row[1].strip())
+            value = float(index_text)
         except ValueError:
             raise DataFormatError(
-                f"row {row_number}, column 'index': invalid number {shortened(row[1])}"
+                f"row {row_number}, column 'index': invalid number {shortened(index_text)}"
             ) from None
         pairs.append((year, value))
     return DeflatorSeries.from_pairs(pairs)
-
-
-# Field annotations are strings under ``from __future__ import annotations``;
-# this maps each numeric one onto the JSON kinds it accepts and their name.
-# A bool is an int to Python, but never a number in the file.
-_JSON_KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
 
 
 def parse_benchmark_constants(source: str | IO[str]) -> dict[str, BenchmarkConstants]:
@@ -580,7 +564,7 @@ def parse_benchmark_constants(source: str | IO[str]) -> dict[str, BenchmarkConst
         raise DataFormatError("benchmark file nests arrays or objects too deeply") from None
     if not isinstance(payload, dict):
         raise DataFormatError("benchmark file must hold an object keyed by label")
-    numeric = [f for f in fields(BenchmarkConstants) if f.type in _JSON_KINDS]
+    numeric = fields(BenchmarkConstants)[1:]
     result: dict[str, BenchmarkConstants] = {}
     for label, body in payload.items():
         if not isinstance(body, dict):
@@ -590,13 +574,12 @@ def parse_benchmark_constants(source: str | IO[str]) -> dict[str, BenchmarkConst
             raise DataFormatError(f"benchmark {shortened(label)}: missing fields {', '.join(missing)}")
         values = {}
         for f in numeric:
-            value = body[f.name]
-            kinds, kind_name = _JSON_KINDS[f.type]
-            if isinstance(value, bool) or not isinstance(value, kinds):
+            value, kind = body[f.name], f.metadata
+            if isinstance(value, bool) or not isinstance(value, kind["types"]):
                 shown = shortened(json.dumps(value), show=str)
-                raise DataFormatError(f"benchmark {shortened(label)}: {f.name} must be {kind_name}, got {shown}")
+                raise DataFormatError(f"benchmark {shortened(label)}: {f.name} must be {kind['kind']}, got {shown}")
             try:
-                values[f.name] = float(value) if f.type == "float" else value
+                values[f.name] = kind["convert"](value)
             except OverflowError as exc:
                 raise DataFormatError(f"benchmark {shortened(label)}: {f.name}: {exc}") from None
         try:

@@ -324,25 +324,9 @@ def parse_project_records_lenient(
     """The lenient parse with a new object for every cell, and every
     record's report, keyed by id, doubling as the duplicate check."""
 
-    rows = registry._csv_rows(source)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise DataFormatError("projects file is empty (header row required)") from None
-    if tuple(cell.strip() for cell in header) != registry.PROJECT_COLUMNS:
-        raise DataFormatError(
-            "unexpected projects header: expected exactly "
-            f"{','.join(registry.PROJECT_COLUMNS)}"
-        )
     records: list[registry.ProjectRecord] = []
     reports: dict[str, list[registry.Violation]] = {}
-    for row_number, row in rows:
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        if len(row) != len(registry.PROJECT_COLUMNS):
-            raise DataFormatError(
-                f"row {row_number}: expected {len(registry.PROJECT_COLUMNS)} columns, got {len(row)}"
-            )
+    for row_number, row in registry._table_rows(source, "projects", registry.PROJECT_COLUMNS):
         record = _row_to_record(row, row_number)
         if record.id in reports:
             raise DataFormatError(f"row {row_number}: duplicate project id {shortened(record.id)}")

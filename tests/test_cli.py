@@ -926,6 +926,7 @@ def test_data_errors_exit_2(table2_paths, tmp_path, capsys, monkeypatch):
         ("n_projects", float("inf"), "n_projects must be an integer, got Infinity"),
         ("n_projects", 863.7, "n_projects must be an integer, got 863.7"),
         ("n_projects", True, "n_projects must be an integer, got true"),
+        ("n_projects", 0, "n_projects must be >= 1, got 0"),
         ("cost_overrun_frequency", False, "cost_overrun_frequency must be a number, got false"),
         ("mean_cost_overrun", "0.2", 'mean_cost_overrun must be a number, got "0.2"'),
         ("mean_cost_overrun", float("nan"), "mean_cost_overrun must be finite, got nan"),
@@ -1189,6 +1190,32 @@ def test_shipped_data_outputs_are_byte_stable(command, tmp_path, capsys):
     assert sha256(stdout.encode()).hexdigest() == stdout_digest
     written = sorted(out.iterdir()) if out.exists() else []
     assert {p.name: sha256(p.read_bytes()).hexdigest() for p in written} == file_digests
+
+
+@pytest.mark.parametrize("command", ["overruns", "uplift", "benchmark"])
+def test_a_deflator_gap_names_the_project_and_stage(command, tmp_path, capsys):
+    cut = tmp_path / "deflators.csv"  # the shipped series up to 1994
+    cut.write_text("".join((SHIPPED_DATA / "deflators.csv").read_text().splitlines(keepends=True)[:10]))
+    code, stdout, err = run(
+        capsys, command, *([] if command == "benchmark" else _CLASS),
+        "--projects", str(SHIPPED_DATA / "projects.csv"), "--deflators", str(cut), "--out", str(tmp_path / "out"),
+    )
+    assert (code, stdout) == (2, "")
+    assert err == "error: project 6801, stage C: year 1997 outside deflator coverage 1986-1994\n"
+
+
+def test_a_one_member_class_leaves_its_sd_cell_blank(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, _ = run(
+        capsys, "benchmark", "--min-outturn", "800000", "--projects", str(SHIPPED_DATA / "projects.csv"),
+        "--deflators", str(SHIPPED_DATA / "deflators.csv"), "--out", str(out),
+    )
+    assert code == 0
+    cells = {row[0]: row[2:5] for row in csv.reader(io.StringIO(stdout))}
+    assert cells["average_cost_overrun"] == ["0.1031", "0.1161", "0.1506"]
+    assert cells["sd_of_cost_overrun"] == cells["sd_of_schedule_overrun"] == ["", "", ""]
+    payload = json.loads((out / "benchmark.json").read_text())
+    assert [(row["n"], row["sd"], row["sd_defined"]) for row in payload["rows"]] == [(1, 0.0, False)] * 6
 
 
 _hostile = st.one_of(st.sampled_from(corpus.HOSTILE_VALUES), st.text(max_size=6))

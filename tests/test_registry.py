@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import math
 import string
+from dataclasses import fields
 from datetime import date
 
 import pytest
@@ -13,6 +15,7 @@ from refclass.errors import DataFormatError, DeflatorCoverageError, RecordConsis
 from refclass.normalization import derive_all_observations
 from refclass.registry import (
     MAX_MONEY,
+    BenchmarkConstants,
     Metric,
     PROJECT_COLUMNS,
     ProjectRecord,
@@ -149,6 +152,36 @@ def _registry_text(*rows: dict) -> str:
     for changes in rows:
         writer.writerow((_GOOD_ROW | changes).values())
     return sink.getvalue()
+
+
+# Each CSV input: its parse, its header, one good row, and a column of that
+# row with the column's refusal of the cell " x ".
+_CSV_INPUTS = {
+    "projects": (parse_project_records, HEADER, ",".join(_GOOD_ROW.values()), "outturn_nominal",
+                 "invalid money amount 'x' (integer HKD thousands expected)"),
+    "deflators": (parse_deflator_series, "year,index", "1990,100", "index", "invalid number 'x'"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_CSV_INPUTS))
+def test_both_csv_inputs_share_one_contract(what):
+    parse, header, row, column, refusal = _CSV_INPUTS[what]
+    names = header.split(",")
+
+    def refused(text: str) -> str:
+        with pytest.raises(DataFormatError) as excinfo:
+            parse(io.StringIO(text))
+        return str(excinfo.value)
+
+    assert refused("") == f"{what} file is empty (header row required)"
+    assert refused(f"{header},extra\n{row}\n") == f"unexpected {what} header: expected exactly {header}"
+    assert refused(f"{header}\n{row},\n") == f"row 2: expected {len(names)} columns, got {len(names) + 1}"
+    # Blank rows (no cells, empty cells, a space) are skipped, but counted.
+    blanks = "\n" + "," * (len(names) - 1) + "\n \n"
+    assert parse(io.StringIO(f"{header}\n{blanks}{row}\n")) == parse(io.StringIO(f"{header}\n{row}\n"))
+    cells = row.split(",")
+    cells[names.index(column)] = " x "
+    assert refused(f"{header}\n{blanks}{','.join(cells)}\n") == f"row 5, column {column!r}: {refusal}"
 
 
 def test_one_parse_keeps_one_object_per_distinct_date_and_year():
@@ -419,6 +452,14 @@ def test_stage_availability_demo_counts(demo_records):
 def test_benchmark_constants_missing_field():
     with pytest.raises(DataFormatError, match="mean_duration_years"):
         parse_benchmark_constants('{"x": {"n_projects": 3}}')
+
+
+def test_every_benchmark_constant_states_its_kind_and_range():
+    label, *numeric = fields(BenchmarkConstants)
+    assert (label.name, label.type) == ("label", "str")
+    for f in numeric:
+        assert f.metadata["kind"] == {"int": "an integer", "float": "a number"}[f.type], f.name
+        assert f.metadata["rule"] and not f.metadata["holds"](math.nan), f.name
 
 
 def test_benchmark_float_fields_take_json_integers_as_floats():
