@@ -506,10 +506,14 @@ def cmd_check(projects, deflators, benchmark) -> None:
             problem_count += 1
             click.echo(f"{violation.code}: {violation.message}")
 
-    if deflators is not None:
-        _parse_file(deflators, parse_deflator_series, newline="")
+    series = None if deflators is None else _parse_file(deflators, parse_deflator_series, newline="")
     if benchmark is not None:
         _parse_file(benchmark, parse_benchmark_constants)
+    if series is not None and not problem_count:
+        # Price the registry as the deriving commands do, so check refuses what they refuse.
+        from .normalization import derive_all_observations
+
+        derive_all_observations(records, series)
 
     if problem_count:
         click.echo(f"{problem_count} violation(s) in {len(records)} record(s)")

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import EmptyClassError, InsufficientDataError, NonMonotoneCurveError
 from .normalization import OverrunObservation
-from .registry import DEFAULT_DEGREE, DEFAULT_ERA_CUTOFF, DEFAULT_GRID_STEP, DEFAULT_METHOD, DEFAULT_MIN_OUTTURN
+from .registry import DEFAULT_DEGREE, DEFAULT_GRID_STEP, DEFAULT_METHOD, DEFAULT_MIN_OUTTURN
 from .registry import DEFAULT_SPAN, MAX_GRID_STEP, MIN_GRID_STEP, Metric, QuantileMethod, Stage
 
 if TYPE_CHECKING:
@@ -327,9 +327,9 @@ class TrendPoint:
 
 @dataclass(frozen=True, slots=True)
 class TrendShift:
-    """Before/after comparison of overruns around a cutoff date."""
+    """Comparison of the pre-era overruns (``pre_era``, the flag the class
+    filter reads) with the rest."""
 
-    cutoff: date
     n_before: int
     n_after: int
     mean_before: float | None
@@ -339,12 +339,11 @@ class TrendShift:
 
 def trend_by_date(
     observations: Iterable[OverrunObservation],
-    cutoff: date = DEFAULT_ERA_CUTOFF,
     span: float = DEFAULT_SPAN,
     degree: int = DEFAULT_DEGREE,
 ) -> tuple[list[TrendPoint], TrendShift]:
     """Loess trend of overruns over their reference dates, plus a
-    rank-tested before/after comparison at the cutoff."""
+    rank-tested comparison of the pre-era observations with the rest."""
 
     from operator import attrgetter
 
@@ -374,10 +373,9 @@ def trend_by_date(
         for o, fit, low, high in zip(dated, fits.tolist(), lows.tolist(), highs.tolist())
     ]
 
-    split = bisect_left(dated, cutoff, key=attrgetter("reference_date"))
-    before, after = values[:split], values[split:]
+    before = [o.value for o in dated if o.pre_era]
+    after = [o.value for o in dated if not o.pre_era]
     shift = TrendShift(
-        cutoff=cutoff,
         n_before=len(before),
         n_after=len(after),
         mean_before=math.fsum(before) / len(before) if before else None,

@@ -178,10 +178,9 @@ class DeflatorSeries:
         if not items:
             raise DataFormatError("deflator series is empty")
         years = [y for y, _ in items]
-        if len(set(years)) != len(years):
-            dup = next(y for i, y in enumerate(years) if y in years[:i])
-            raise DataFormatError(f"duplicate deflator year {dup}")
         for prev, cur in zip(years, years[1:]):
+            if cur == prev:
+                raise DataFormatError(f"duplicate deflator year {cur}")
             if cur != prev + 1:
                 raise DataFormatError(f"deflator series is missing year {prev + 1}")
         for year, value in items:

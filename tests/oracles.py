@@ -7,12 +7,14 @@ point while filling a dense n x n hat matrix (and its power-sum form solves
 every point, tied x included, with fresh work arrays per block, sums
 every power of every term, and gathers each window through indices filled
 row by row), Fisher's test builds a Fraction per table, the rank-sum
-test ranks through an argsort and a scan for ties, the date trend
-converts each observation's date on its own and hands loess unsorted
-points, the registry parse makes a new object for every cell and keeps
-every record's report, and the outturn spread renormalizes the published
-profile row on every call. Most are quadratic or worse, so tests call
-them on small inputs only.
+test ranks through an argsort and a scan for ties (and counts its exact
+tail by dynamic programming, where the package enumerates rank sets), the
+date trend converts each observation's date on its own, hands loess
+unsorted points and splits at a date, not on the era flag, the registry
+parse makes a new object for every cell and keeps every record's report,
+and the outturn spread renormalizes the published profile row on every
+call. Most are quadratic or worse, so tests call them on small inputs
+only.
 """
 
 from __future__ import annotations
@@ -234,6 +236,22 @@ def _midranks(values: Sequence[float]) -> tuple[list[float], list[int]]:
     return ranks, tie_sizes
 
 
+def rank_sum_counts(k: int, n: int) -> list[int]:
+    """counts[s] = number of k-subsets of {1..n} whose ranks sum to s, by
+    dynamic programming over the ranks (the package enumerates the subsets)."""
+
+    max_sum = k * (2 * n - k + 1) // 2
+    counts = [[0] * (max_sum + 1) for _ in range(k + 1)]
+    counts[0][0] = 1
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            row, prev = counts[j], counts[j - 1]
+            for s in range(max_sum, m - 1, -1):
+                if prev[s - m]:
+                    row[s] += prev[s - m]
+    return counts[k]
+
+
 def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> TestResult:
     """The rank-sum test with a rank per pooled value from ``_midranks``."""
 
@@ -248,7 +266,7 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> TestResult:
     if not has_ties and n <= stats.EXACT_RANK_TEST_LIMIT:
         u_small = min(u_a, u_b)
         offset = n_a * (n_a + 1) // 2
-        counts = stats._rank_sum_counts(n_a, n)
+        counts = rank_sum_counts(n_a, n)
         limit = int(round(u_small)) + offset
         tail = sum(counts[s] for s in range(offset, min(limit, len(counts) - 1) + 1))
         p = min(1.0, float(2 * Fraction(tail, math.comb(n, n_a))))
@@ -278,7 +296,8 @@ def trend_by_date(
 ) -> tuple[list[TrendPoint], TrendShift]:
     """The date trend through the public ``loess_smooth``: one
     ``_year_fraction`` per observation, the points sorted again by loess,
-    and each side of the cutoff gathered by its own scan."""
+    and each side of the cutoff date gathered by its own scan. It equals
+    the package's split on ``pre_era`` when the flags follow the dates."""
 
     dated = sorted(observations, key=lambda o: (o.reference_date, o.project_id))
     points = [(_year_fraction(o.reference_date), o.value) for o in dated]
@@ -289,7 +308,6 @@ def trend_by_date(
     before = [o.value for o in dated if o.reference_date < cutoff]
     after = [o.value for o in dated if o.reference_date >= cutoff]
     shift = TrendShift(
-        cutoff=cutoff,
         n_before=len(before),
         n_after=len(after),
         mean_before=math.fsum(before) / len(before) if before else None,

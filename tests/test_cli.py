@@ -538,7 +538,8 @@ prefixes = ("refclass.", "numpy", "concurrent.", "logging")
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(prefixes))]))
 """
 
-# check runs only the registry parser. No command needs a thread pool
+# check runs the registry parser and, given --deflators, derives the
+# observations as the deriving commands do. No command needs a thread pool
 # (concurrent.futures); the probe keeps it as a guard against one. Only an
 # empty reference class logs, and only benchmark uses refclass.stats.
 _OPTIONAL_MODULES = {"refclass.normalization", "refclass.reference_class", "refclass.stats",
@@ -551,7 +552,7 @@ _RUNS_CLASSES = {"refclass.normalization", "refclass.reference_class"}
 _SMOOTHS = {"refclass.smoothing", "numpy"}
 # Per command: its arguments, and which of the optional modules it loads.
 _COMMAND_MODULES = {
-    "check": (["check"], set()),
+    "check": (["check"], {"refclass.normalization"}),
     "overruns": (["overruns", *_CLASS], {"refclass.normalization"}),
     "uplift": (["uplift", *_CLASS], _RUNS_CLASSES),
     "uplift-smooth": (["uplift", *_CLASS, "--smooth"], _RUNS_CLASSES | _SMOOTHS),
@@ -715,9 +716,8 @@ def test_each_command_takes_only_the_settings_it_reads(command, tmp_path, capsys
 # the library parameters that apply it, and the public functions that take
 # one of those parameters with a default.
 _LIBRARY_DEFAULTS = {
-    "era_cutoff": ("DEFAULT_ERA_CUTOFF", {"era_cutoff", "cutoff"}, {
-        "normalization.derive_observations", "normalization.derive_all_observations",
-        "reference_class.trend_by_date"}),
+    "era_cutoff": ("DEFAULT_ERA_CUTOFF", {"era_cutoff"}, {
+        "normalization.derive_observations", "normalization.derive_all_observations"}),
     "min_outturn": ("DEFAULT_MIN_OUTTURN", {"min_outturn"}, {"reference_class.ClassFilter"}),
     "method": ("DEFAULT_METHOD", {"method"}, {
         "reference_class.uplift", "reference_class.required_certainty", "reference_class.uplift_curve",
@@ -895,16 +895,16 @@ def test_data_errors_exit_2(table2_paths, tmp_path, capsys, monkeypatch):
     # The shipped series with indexes whose ratios no float holds: one
     # underflows to 0, one overflows to inf, or every index is finite but an
     # outturn's conversion overflows, or underflows so far that the overrun
-    # rounds to -1 (check reads only the series).
+    # rounds to -1. check prices the registry as the other commands do.
     shipped = [line.split(",") for line in (SHIPPED_DATA / "deflators.csv").read_text().splitlines()]
     too_wide = "deflator index for 1987 over base year 1986 must be a positive finite ratio, got"
-    for index, message, check_code in [
-        (lambda year: 1e300 if year == 1986 else 1e-300, f"{too_wide} 0.0", 2),
-        (lambda year: 1e-300 if year == 1986 else 1e300, f"{too_wide} inf", 2),
+    for index, message in [
+        (lambda year: 1e300 if year == 1986 else 1e-300, f"{too_wide} 0.0"),
+        (lambda year: 1e-300 if year == 1986 else 1e300, f"{too_wide} inf"),
         (lambda year: 1e300 if 1989 <= year <= 1993 else 1e-8,
-         "project 6801, stage C: the cost overrun overflows to inf (deflator index ratios too large)", 0),
+         "project 6801, stage C: the cost overrun overflows to inf (deflator index ratios too large)"),
         (lambda year: 1e-300 if 1989 <= year <= 1993 else 1,
-         "project 6801, stage C: the cost overrun underflows to -1 (deflator index ratios too small)", 0),
+         "project 6801, stage C: the cost overrun underflows to -1 (deflator index ratios too small)"),
     ]:
         wide = tmp_path / "wide.csv"
         wide.write_text("year,index\n" + "".join(f"{year},{index(int(year))}\n" for year, _ in shipped[1:]))
@@ -914,10 +914,7 @@ def test_data_errors_exit_2(table2_paths, tmp_path, capsys, monkeypatch):
                         ["curve", *_CLASS], ["tiers", *_CLASS, "--base", "1000", "--scheme", "a:0.5,b:1.0"],
                         ["benchmark"], ["check"]):
             code, _, err = run(capsys, *command, *files)
-            if command == ["check"] and check_code == 0:
-                assert (code, err) == (0, ""), message
-            else:
-                assert (code, err) == (2, f"error: {message}\n"), (command, message)
+            assert (code, err) == (2, f"error: {message}\n"), (command, message)
 
     # Non-finite benchmark constants, values of the wrong JSON kind, and a
     # range error that names its label once.
@@ -1192,12 +1189,12 @@ def test_shipped_data_outputs_are_byte_stable(command, tmp_path, capsys):
     assert {p.name: sha256(p.read_bytes()).hexdigest() for p in written} == file_digests
 
 
-@pytest.mark.parametrize("command", ["overruns", "uplift", "benchmark"])
+@pytest.mark.parametrize("command", ["overruns", "uplift", "benchmark", "check"])
 def test_a_deflator_gap_names_the_project_and_stage(command, tmp_path, capsys):
     cut = tmp_path / "deflators.csv"  # the shipped series up to 1994
     cut.write_text("".join((SHIPPED_DATA / "deflators.csv").read_text().splitlines(keepends=True)[:10]))
     code, stdout, err = run(
-        capsys, command, *([] if command == "benchmark" else _CLASS),
+        capsys, command, *(_CLASS if command in ("overruns", "uplift") else []),
         "--projects", str(SHIPPED_DATA / "projects.csv"), "--deflators", str(cut), "--out", str(tmp_path / "out"),
     )
     assert (code, stdout) == (2, "")
@@ -1304,10 +1301,10 @@ def test_corrupted_inputs_never_end_in_a_traceback(corruption):
 
 
 # Inputs past a limit of the csv or json module or of the money range, each
-# with the commands that refuse it; the other commands do not read it. The
-# 1e300 series passes check: every index is finite and so is every ratio to
-# the base year, but an outturn spent after 1996 converts to 1e300 times
-# itself at the price level of an estimate from 1996 or before.
+# with the commands that refuse it; the other commands do not read it. In
+# the 1e300 series every index is finite and so is every ratio to the base
+# year, but an outturn spent after 1996 converts to 1e300 times itself at the
+# price level of an estimate from 1996 or before; check prices it too.
 _OVER_LIMIT_INPUTS = {
     "projects-long-cell": (("projects.csv", [(1, 1, "9" * 131_073)]), set(_COMMAND_MODULES)),
     "deflators-long-cell": (("deflators.csv", [(1, 1, "9" * 131_073)]), set(_COMMAND_MODULES)),
@@ -1316,7 +1313,7 @@ _OVER_LIMIT_INPUTS = {
     "benchmark-long-integer": (("benchmark.json", ("n_projects", "9" * 5000)), {"check", "benchmark"}),
     "deflators-1e300": (("deflators.csv", [(row, 1, "1e300" if int(year) <= 1996 else "1")
                                            for row, (year, _) in enumerate(_shipped_rows("deflators.csv")[1:], 1)]),
-                        set(_COMMAND_MODULES) - {"check"}),
+                        set(_COMMAND_MODULES)),
 }
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +10,7 @@ import corpus
 from conftest import make_observations
 from refclass.contingency import DEFAULT_TIER_SCHEME, tier_allocation
 from refclass.errors import InsufficientDataError, NonMonotoneCurveError
-from refclass.normalization import DEFAULT_ERA_CUTOFF
+from refclass.normalization import DEFAULT_ERA_CUTOFF, derive_all_observations
 from refclass.reference_class import (
     ClassFilter,
     QuantileMethod,
@@ -23,7 +24,7 @@ from refclass.reference_class import (
     trend_by_date,
     uplift_curve,
 )
-from refclass.registry import MAX_GRID_STEP, Metric, Stage
+from refclass.registry import MAX_GRID_STEP, Metric, Stage, parse_deflator_series, parse_project_records
 
 
 def test_build_class_table2_size(table2_class):
@@ -153,6 +154,7 @@ def test_trend_constant_observations_is_flat():
         dataclasses.replace(
             make_observations([0.25], ids=[f"c{i}"])[0],
             reference_date=date(1990 + i, 1, 1),
+            pre_era=date(1990 + i, 1, 1) < DEFAULT_ERA_CUTOFF,
         )
         for i in range(8)
     ]
@@ -165,17 +167,14 @@ def test_trend_constant_observations_is_flat():
 
 def test_trend_step_change_detected():
     observations = []
-    for i in range(10):
-        (obs,) = make_observations([0.5], ids=[f"b{i}"])
-        observations.append(
-            dataclasses.replace(obs, reference_date=date(1988, 1, 1) + timedelta(days=120 * i))
-        )
-    for i in range(10):
-        (obs,) = make_observations([0.0], ids=[f"a{i}"])
-        observations.append(
-            dataclasses.replace(obs, reference_date=date(1995, 1, 1) + timedelta(days=120 * i))
-        )
-    trend, shift = trend_by_date(observations, cutoff=DEFAULT_ERA_CUTOFF)
+    for value, first, prefix in ((0.5, date(1988, 1, 1), "b"), (0.0, date(1995, 1, 1), "a")):
+        for i in range(10):
+            (obs,) = make_observations([value], ids=[f"{prefix}{i}"])
+            reference_date = first + timedelta(days=120 * i)
+            observations.append(dataclasses.replace(
+                obs, reference_date=reference_date, pre_era=reference_date < DEFAULT_ERA_CUTOFF
+            ))
+    trend, shift = trend_by_date(observations)
     assert shift.n_before == 10
     assert shift.n_after == 10
     assert shift.mean_before == pytest.approx(0.5)
@@ -183,6 +182,18 @@ def test_trend_step_change_detected():
     assert shift.test is not None
     assert shift.test.p_value < 0.01
     assert len(trend) == 20
+
+
+def test_trend_splits_on_the_era_flag_the_class_filter_reads():
+    # On the shipped data, 3 B/cost projects are pre-era by their Category C
+    # date, though only 1 has its B estimate dated before the cutoff.
+    data = Path(__file__).resolve().parent.parent / "data"
+    with open(data / "projects.csv", newline="") as projects, open(data / "deflators.csv", newline="") as deflators:
+        observations = derive_all_observations(parse_project_records(projects), parse_deflator_series(deflators))
+    reference = build_class(observations, ClassFilter(Stage.B, Metric.COST, exclude_pre_era=False))
+    _, shift = trend_by_date(reference.entries)
+    pre_era = sum(o.pre_era for o in reference.entries)
+    assert (shift.n_before, shift.n_after) == (pre_era, reference.n - pre_era) == (3, 19)
 
 
 def test_trend_requires_four_observations():

@@ -432,6 +432,9 @@ def test_deflators_gap_rejected():
     text = "year,index\n1990,100\n1991,101\n1993,103\n"
     with pytest.raises(DataFormatError, match="1992"):
         parse_deflator_series(io.StringIO(text))
+    text = "year,index\n1990,100\n1991,101\n1991,102\n1992,103\n"
+    with pytest.raises(DataFormatError, match="^duplicate deflator year 1991$"):
+        parse_deflator_series(io.StringIO(text))
 
 
 def test_deflators_out_of_range_lookup_names_year():

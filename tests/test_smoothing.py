@@ -288,13 +288,14 @@ _TREND_TIES = [((37 * k) % 200, (k % 11) / 10) for k in range(300)]
 @example(drawn=(_TREND_TIES, _TREND_START), span=0.75, degree=1)
 def test_trend_by_date_equals_public_loess_path(drawn, span, degree):
     offsets, cutoff = drawn
-    # Ids out of input order, so same-day observations are reordered.
-    observations = [
-        OverrunObservation(f"p{(7 * k) % 401:03d}", Stage.C, Metric.COST, value,
-                           _TREND_START + timedelta(days=day), False, 500_000)
-        for k, (day, value) in enumerate(offsets)
-    ]
-    assert trend_by_date(observations, cutoff, span, degree) == oracles.trend_by_date(
+    # Ids out of input order, so same-day observations are reordered. The
+    # era flags follow the dates, so the flag split is the date split.
+    observations = []
+    for k, (day, value) in enumerate(offsets):
+        reference_date = _TREND_START + timedelta(days=day)
+        observations.append(OverrunObservation(f"p{(7 * k) % 401:03d}", Stage.C, Metric.COST, value,
+                                               reference_date, reference_date < cutoff, 500_000))
+    assert trend_by_date(observations, span, degree) == oracles.trend_by_date(
         observations, cutoff, span, degree
     )
 

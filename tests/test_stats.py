@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 import corpus
 import oracles
+from refclass import stats
 from refclass.stats import descriptive_stats, mann_whitney_u, proportion_test
 
 
@@ -121,6 +122,17 @@ def test_mwu_exact_matches_brute_force_enumeration():
             b = pool[n_a : n_a + n_b]
             ours = mann_whitney_u(a, b)
             assert ours.p_value == pytest.approx(brute_force_mwu_p(a, b), abs=1e-12)
+
+
+def test_rank_set_enumeration_counts_as_the_dynamic_programme():
+    # The exact tail counts the rank sets of size n_a with a sum at most
+    # limit; the oracle's table gives the same count for every case it meets.
+    for n in range(2, stats.EXACT_RANK_TEST_LIMIT + 1):
+        for n_a in range(1, n):
+            counts = oracles.rank_sum_counts(n_a, n)
+            sums = [sum(ranks) for ranks in itertools.combinations(range(1, n + 1), n_a)]
+            for limit in range(len(counts) + 1):
+                assert sum(1 for s in sums if s <= limit) == sum(counts[: limit + 1]), (n, n_a, limit)
 
 
 @given(
