@@ -39,8 +39,6 @@ def _fmt(value: float) -> str:
 
 
 def _nice_step(span: float) -> float:
-    if span <= 0:
-        return 0.1
     raw = span / 6  # about six ticks
     magnitude = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -107,12 +105,13 @@ def curve_svg(
     # gridlines and ticks
     bottom = _MARGIN_TOP + plot_h
     step = _nice_step(y_max - y_min)
-    tick = math.ceil(y_min / step) * step
-    while tick <= y_max:
+    tick, previous = math.ceil(y_min / step) * step, -math.inf
+    # Rounding swallows the tiny step of a near-flat fit; stop if it does.
+    while previous < tick <= y_max:
         y = sy(tick)
         line(sx(0.0), y, sx(1.0), y, "grid")
         text(sx(0.0) - 8, y + 4, "end", 11, "axis", f"{tick * 100:+.0f}%")
-        tick = round(tick + step, 12)
+        previous, tick = tick, round(tick + step, 12)
     for i in range(0, 11, 2):
         p = i / 10
         x = sx(p)

@@ -54,17 +54,18 @@ def rank_position(n: int, p: float, method: QuantileMethod) -> tuple[int, float]
         raise ValueError(f"p must lie in (0, 1], got {p}")
 
     if method is QuantileMethod.INF:
-        # ceil(n p) is the answer up to float noise in n * p; step it to the
-        # smallest k whose k / n, the quotient the definition compares,
-        # reaches p (k / n only grows with k, and n / n = 1 >= p).
-        k = min(max(math.ceil(n * p), 1), n)
+        # ceil(n p), in [1, n] as 0 < n * p <= n, is the answer up to float
+        # noise in n * p; step it to the smallest k whose k / n, the quotient
+        # the definition compares, reaches p (k / n only grows with k, and
+        # n / n = 1 >= p).
+        k = math.ceil(n * p)
         while k > 1 and (k - 1) / n >= p:
             k -= 1
         while k / n < p:
             k += 1
         return k - 1, 0.0
 
-    h = min(max((n - 1) * p + 1.0, 1.0), float(n))
+    h = (n - 1) * p + 1.0  # in [1, n], as (n - 1) * p is in [0, n - 1]
     low = math.floor(h)
     return low - 1, h - low
 
@@ -99,7 +100,6 @@ class ReferenceClass:
     read off ``values`` at the positions ``rank_position`` gives.
     """
 
-    filter: ClassFilter | None
     entries: tuple[OverrunObservation, ...]
     order: tuple[int, ...] = field(init=False, repr=False, compare=False)
     values: tuple[float, ...] = field(init=False, repr=False, compare=False)
@@ -134,7 +134,7 @@ class ReferenceClass:
             )
             for i, value in enumerate(values)
         )
-        return cls(filter=None, entries=entries)
+        return cls(entries=entries)
 
 
 def build_class(
@@ -169,7 +169,7 @@ def build_class(
             class_filter.metric,
             class_filter.min_outturn,
         )
-    return ReferenceClass(filter=class_filter, entries=kept)
+    return ReferenceClass(entries=kept)
 
 
 def uplift(

@@ -52,7 +52,7 @@ and write each block's mean back over its span.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -263,20 +263,18 @@ def _windows(
             # Every point at distance 0 shares x_i; take the first of them.
             starts.append(bisect_left(x, xi))
             continue
-        # Points nearer than d form [near, far]; those at d lie just outside
-        # it, from index edge on the left, and the window takes as many of
-        # them as it can before near. Equal x share a distance, so each step
-        # skips a whole run of equal x.
-        near = lo
-        while abs(x[near] - xi) >= d:
-            near = bisect_right(x, x[near])
+        # Points nearer than d end at index far, and those at d on the left
+        # start at index edge. The row ends at far if [edge, far] fills it;
+        # otherwise it starts at edge and takes the rest from the points at
+        # d right of far. Equal x share a distance, so each step skips a
+        # whole run of equal x.
         far = lo + size - 1
         while abs(x[far] - xi) >= d:
             far = bisect_left(x, x[far]) - 1
         edge = lo
         while edge > 0 and abs(x[edge - 1] - xi) <= d:
             edge = bisect_left(x, x[edge - 1])
-        starts.append(near - min(size - (far - near + 1), near - edge))
+        starts.append(max(edge, far + 1 - size))
     return np.array(starts, dtype=np.intp), np.array(reach)
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -569,13 +570,14 @@ _SHIPPED_FILES = ["--projects", "data/projects.csv", "--deflators", "data/deflat
 _CHILD_ENV = {"PATH": os.environ.get("PATH", os.defpath), "PYTHONPATH": "src", "LC_ALL": "C.UTF-8"}
 
 
-def _run_child(args, out, env=_CHILD_ENV):
+def _run_child(args, out, env=_CHILD_ENV, **options):
     return subprocess.run(
         [sys.executable, *args, *_SHIPPED_FILES, "--out", str(out)],
         capture_output=True,
         text=True,
         cwd=SHIPPED_DATA.parent,
         env=env,
+        **options,
     )
 
 
@@ -1213,6 +1215,31 @@ def test_a_one_member_class_leaves_its_sd_cell_blank(tmp_path, capsys):
     assert cells["sd_of_cost_overrun"] == cells["sd_of_schedule_overrun"] == ["", "", ""]
     payload = json.loads((out / "benchmark.json").read_text())
     assert [(row["n"], row["sd"], row["sd_defined"]) for row in payload["rows"]] == [(1, 0.0, False)] * 6
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# At this floor each stage x metric class on data/ holds one project.
+_ONE_MEMBER_RUNS = {"curve": ["curve"], "uplift-smooth": ["uplift", "--smooth"],
+                    "tiers": ["tiers", "--base", "100000"], "validate": ["validate"]}
+
+
+@pytest.mark.parametrize("command", sorted(_ONE_MEMBER_RUNS))
+@pytest.mark.parametrize("stage", ["C", "B", "A"])
+@pytest.mark.parametrize("metric", ["cost", "schedule"])
+def test_every_class_of_one_runs(metric, stage, command, tmp_path):
+    # A child with a time limit and a 1 GiB address space, so a loop that
+    # never ends fails fast instead of stalling the suite or the host.
+    argv = ["-m", "refclass", *_ONE_MEMBER_RUNS[command], "--stage", stage, "--metric", metric,
+            "--min-outturn", "900000"]
+    done = _run_child(argv, tmp_path / "out", timeout=60, preexec_fn=_cap_address_space)
+    if command == "validate":
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: leave-one-out needs at least 2 observations, got 1\n"
+    else:
+        assert done.returncode == 0, done.stderr
 
 
 _hostile = st.one_of(st.sampled_from(corpus.HOSTILE_VALUES), st.text(max_size=6))

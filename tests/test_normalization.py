@@ -344,6 +344,12 @@ def test_zero_length_construction_has_no_cost_data():
     assert construction_period(record) is None
     assert not has_cost_data(record, Stage.C)
     assert [o for o in derive_observations(record, flat_series()) if o.metric is Metric.COST] == []
+    # Nor is there a period with neither a construction start nor a
+    # Category A date to fall back on.
+    undated = dataclasses.replace(record, construction_start=None)
+    assert record.stages[Stage.A].upgrade_date is None
+    assert construction_period(undated) is None
+    assert not has_cost_data(undated, Stage.C)
 
 
 # Dates drawn from a few fixed days as well, so that equal start and

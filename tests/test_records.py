@@ -48,7 +48,7 @@ def _one_of_each() -> list:
     allocation = tier_allocation(1000, curve, DEFAULT_TIER_SCHEME)
     return [
         records[0].stages[Stage.C], records[0], Violation("code", "message"), series,
-        corpus.ROADS, observations[0], reference.filter,
+        corpus.ROADS, observations[0], ClassFilter(Stage.C, Metric.COST),
         reference, curve, trend[0], shift, descriptive_stats(reference.values), shift.test,
         rows[0], loov_summary(rows, 0.5), report.rows[0], report, phases[0], aggregate,
         DEFAULT_TIER_SCHEME, allocation.tranches[0], allocation,

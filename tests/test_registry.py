@@ -125,6 +125,14 @@ def test_malformed_cell_reports_row_and_column():
     text = HEADER + "\np1,not-a-date,,,,,,,,,,,,,,,,,,,2001-06-30,100,\n"
     with pytest.raises(DataFormatError, match=r"row 2.*date_c"):
         parse_text(text)
+    for changes, message in [
+        (dict(id="a b"), "id': invalid project id 'a b'"),
+        (dict(disbursements="1990:5;;1991:6"), "disbursements': empty disbursement entry"),
+        (dict(disbursements="1990-5"), "disbursements': disbursement entry '1990-5' is not year:amount"),
+        (dict(disbursements="1990:5;1990:6"), "disbursements': duplicate disbursement year 1990"),
+    ]:
+        with pytest.raises(DataFormatError, match=f"^row 2, column '{message}$"):
+            parse_text(_registry_text(changes))
 
 
 def test_duplicate_id_rejected():
@@ -435,6 +443,8 @@ def test_deflators_gap_rejected():
     text = "year,index\n1990,100\n1991,101\n1991,102\n1992,103\n"
     with pytest.raises(DataFormatError, match="^duplicate deflator year 1991$"):
         parse_deflator_series(io.StringIO(text))
+    with pytest.raises(DataFormatError, match="^deflator series is empty$"):
+        parse_deflator_series(io.StringIO("year,index\n"))
 
 
 def test_deflators_out_of_range_lookup_names_year():
@@ -455,6 +465,17 @@ def test_stage_availability_demo_counts(demo_records):
 def test_benchmark_constants_missing_field():
     with pytest.raises(DataFormatError, match="mean_duration_years"):
         parse_benchmark_constants('{"x": {"n_projects": 3}}')
+    with pytest.raises(DataFormatError, match="^benchmark file must hold an object keyed by label$"):
+        parse_benchmark_constants("[]")
+    with pytest.raises(DataFormatError, match="^benchmark 'x': entry must be an object$"):
+        parse_benchmark_constants('{"x": 3}')
+    payload = json.loads(corpus.BENCHMARK_JSON)
+    payload["international-roads"]["mean_cost_overrun"] = int("9" * 400)
+    with pytest.raises(
+        DataFormatError,
+        match="^benchmark 'international-roads': mean_cost_overrun: int too large to convert to float$",
+    ):
+        parse_benchmark_constants(json.dumps(payload))
 
 
 def test_every_benchmark_constant_states_its_kind_and_range():
