@@ -22,7 +22,7 @@ _EXPORTS = {
         "benchmarking": "BenchmarkReport BenchmarkRow PhaseAggregate PhaseBreakdown benchmark_report "
         "phase_breakdown write_benchmark_csv write_benchmark_json",
         "contingency": "DEFAULT_TIER_SCHEME PortfolioPool TierAllocation TierScheme TierTranche "
-        "debias_estimate portfolio_pool tier_allocation write_allocation_json",
+        "portfolio_pool tier_allocation write_allocation_json",
         "errors": "DataFormatError DeflatorCoverageError EmptyClassError InsufficientDataError "
         "NonMonotoneCurveError RecordConsistencyError RefclassError",
         "normalization": "OverrunObservation cost_overrun derive_all_observations "

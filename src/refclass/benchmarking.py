@@ -1,5 +1,5 @@
-"""Compare reference classes against an external benchmark, and break
-project histories into phases.
+"""Compare reference classes against an external benchmark, and measure
+each project's duration.
 
 The external anchor is usually published summary constants only. In that
 case the report stays descriptive and marks p-values unavailable; tests run
@@ -143,11 +143,8 @@ def write_benchmark_csv(report: BenchmarkReport, sink: IO[str]) -> None:
     ])
 
 
-def benchmark_report_as_dict(report: BenchmarkReport) -> dict:
-    def test_dict(test: TestResult | None):
-        return None if test is None else asdict(test)
-
-    return {
+def write_benchmark_json(report: BenchmarkReport, sink: IO[str]) -> None:
+    payload = {
         "mapping_note": DEFAULT_MAPPING_NOTE,
         "test_names": TEST_NAMES,
         "benchmark": None if report.constants is None else asdict(report.constants),
@@ -158,94 +155,43 @@ def benchmark_report_as_dict(report: BenchmarkReport) -> dict:
                 "metric": str(row.metric),
                 **asdict(row.stats),
                 "comparable": row.comparable,
-                "mean_test": test_dict(row.mean_test),
-                "frequency_test": test_dict(row.frequency_test),
+                "mean_test": None if row.mean_test is None else asdict(row.mean_test),
+                "frequency_test": None if row.frequency_test is None else asdict(row.frequency_test),
             }
             for row in report.rows
         ],
     }
-
-
-def write_benchmark_json(report: BenchmarkReport, sink: IO[str]) -> None:
-    json.dump(benchmark_report_as_dict(report), sink, indent=2, sort_keys=True)
+    json.dump(payload, sink, indent=2, sort_keys=True)
     sink.write("\n")
 
 
 @dataclass(frozen=True, slots=True)
 class PhaseBreakdown:
-    """Calendar phases of one project, in fractional years.
-
-    When the construction start is unrecorded the tail phase runs from the
-    Category A upgrade straight to completion (``a_to_completion``) and the
-    preconstruction share is unavailable.
-    """
+    """One project's years from the Category C upgrade to completion."""
 
     project_id: str
-    c_to_b: float | None
-    b_to_a: float | None
-    a_to_construction: float | None
-    construction_to_completion: float | None
-    a_to_completion: float | None
     total_years: float
-    preconstruction_share: float | None
 
 
 @dataclass(frozen=True, slots=True)
 class PhaseAggregate:
     n: int
-    mean_total_years: float
-    mean_preconstruction_share: float | None
     skipped: tuple[str, ...]
 
 
 def phase_breakdown(
     records: Sequence[ProjectRecord],
 ) -> tuple[list[PhaseBreakdown], PhaseAggregate]:
-    """Split each project's history into phases from the Category C upgrade
-    to completion. Records without both endpoints are skipped and flagged."""
-
-    def years(d0, d1) -> float:
-        return (d1 - d0).days / DAYS_PER_YEAR
+    """Each project's years from the Category C upgrade to completion.
+    Records without both endpoints are skipped and flagged."""
 
     rows: list[PhaseBreakdown] = []
     skipped: list[str] = []
     for record in records:
         date_c = record.stages[Stage.C].upgrade_date
-        date_b = record.stages[Stage.B].upgrade_date
-        date_a = record.stages[Stage.A].upgrade_date
-        start = record.construction_start
         done = record.actual_completion
         if date_c is None or done is None:
             skipped.append(record.id)
-            continue
-        total = years(date_c, done)
-        share = None
-        if start is not None and total > 0:
-            share = years(date_c, start) / total
-        rows.append(
-            PhaseBreakdown(
-                project_id=record.id,
-                c_to_b=years(date_c, date_b) if date_b is not None else None,
-                b_to_a=years(date_b, date_a) if date_b is not None and date_a is not None else None,
-                a_to_construction=years(date_a, start) if date_a is not None and start is not None else None,
-                construction_to_completion=years(start, done) if start is not None else None,
-                a_to_completion=years(date_a, done) if date_a is not None and start is None else None,
-                total_years=total,
-                preconstruction_share=share,
-            )
-        )
-
-    if rows:
-        mean_total = sum(r.total_years for r in rows) / len(rows)
-        shares = [r.preconstruction_share for r in rows if r.preconstruction_share is not None]
-        mean_share = sum(shares) / len(shares) if shares else None
-    else:
-        mean_total = 0.0
-        mean_share = None
-    aggregate = PhaseAggregate(
-        n=len(rows),
-        mean_total_years=mean_total,
-        mean_preconstruction_share=mean_share,
-        skipped=tuple(skipped),
-    )
-    return rows, aggregate
+        else:
+            rows.append(PhaseBreakdown(record.id, (done - date_c).days / DAYS_PER_YEAR))
+    return rows, PhaseAggregate(n=len(rows), skipped=tuple(skipped))

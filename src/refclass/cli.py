@@ -147,12 +147,13 @@ def _read_config(ctx: click.Context, _param, path: str | None) -> None:
     if path is None:
         return
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise click.UsageError(f"cannot read config file: {_os_error_text(exc)}")
     except UnicodeDecodeError:
         raise click.UsageError(f"config file {shortened(path, show=str)} is not UTF-8 text")
     defaults: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for line_number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -163,6 +164,9 @@ def _read_config(ctx: click.Context, _param, path: str | None) -> None:
         key = key.strip()
         if key not in _SETTINGS:
             raise click.UsageError(f"config line {line_number}: unknown key {shortened(key)}")
+        if key in set_on:
+            raise click.UsageError(f"config line {line_number}: {key} already set on line {set_on[key]}")
+        set_on[key] = line_number
         if "\0" in value:
             # No path or number holds one; the OS would refuse it as a path.
             raise click.UsageError(f"config line {line_number}: {key} holds a NUL character")
@@ -251,7 +255,7 @@ def _required(path: str | None, key: str) -> str:
 def _parse_file(path: str, parse, newline: str | None = None):
     """Parse the UTF-8 text file at ``path``; undecodable bytes are a data error."""
 
-    with open(path, encoding="utf-8", newline=newline) as handle:
+    with open(path, encoding="utf-8-sig", newline=newline) as handle:
         try:
             return parse(handle)
         except UnicodeDecodeError:

@@ -13,9 +13,9 @@ import json
 from dataclasses import asdict, dataclass
 from typing import IO, Sequence
 
-from .errors import shortened
+from .errors import NonMonotoneCurveError, shortened
 from .formatting import round_half_away
-from .reference_class import QuantileMethod, ReferenceClass, UpliftCurve, require_monotone, uplift
+from .reference_class import QuantileMethod, ReferenceClass, UpliftCurve, uplift
 from .registry import DEFAULT_METHOD, DEFAULT_TIERS
 
 
@@ -70,19 +70,6 @@ class TierAllocation:
         return self.total_funded - self.base_estimate
 
 
-def debias_estimate(
-    base_estimate: int,
-    reference: ReferenceClass,
-    p: float,
-    method: QuantileMethod = DEFAULT_METHOD,
-) -> int:
-    """Base estimate lifted to certainty p, in whole HKD thousands."""
-
-    if base_estimate <= 0:
-        raise ValueError(f"base estimate must be positive, got {base_estimate}")
-    return round_half_away(base_estimate * (1.0 + uplift(reference, p, method)))
-
-
 def tier_allocation(base_estimate: int, curve: UpliftCurve, scheme: TierScheme) -> TierAllocation:
     """Allocate contingency tranches along a monotone uplift curve.
 
@@ -93,7 +80,10 @@ def tier_allocation(base_estimate: int, curve: UpliftCurve, scheme: TierScheme) 
 
     if base_estimate <= 0:
         raise ValueError(f"base estimate must be positive, got {base_estimate}")
-    require_monotone(curve)
+    if not curve.monotone:
+        raise NonMonotoneCurveError(
+            "uplift curve is not monotone; apply isotonic adjustment before allocating from it"
+        )
 
     tranches: list[TierTranche] = []
     previous_cumulative = 0
@@ -150,8 +140,16 @@ def portfolio_pool(
         raise ValueError(
             f"portfolio certainty {portfolio_p} must not be below project certainty {project_p}"
         )
-    funded = tuple(debias_estimate(b, reference, project_p, method) for b in base_estimates)
-    ceiling = tuple(debias_estimate(b, reference, portfolio_p, method) for b in base_estimates)
+    # Refused in the order of a pass per base: the first base, the class, the rest.
+    lift = None
+    for base in base_estimates:
+        if base <= 0:
+            raise ValueError(f"base estimate must be positive, got {base}")
+        if lift is None:
+            lift = uplift(reference, project_p, method)
+    ceiling_lift = uplift(reference, portfolio_p, method)
+    funded = tuple(round_half_away(b * (1.0 + lift)) for b in base_estimates)
+    ceiling = tuple(round_half_away(b * (1.0 + ceiling_lift)) for b in base_estimates)
     pool = sum(c - f for c, f in zip(ceiling, funded))
     return PortfolioPool(
         project_certainty=project_p,
@@ -161,16 +159,13 @@ def portfolio_pool(
     )
 
 
-def allocation_as_dict(allocation: TierAllocation) -> dict:
-    return {
+def write_allocation_json(allocation: TierAllocation, sink: IO[str]) -> None:
+    payload = {
         "base_estimate": allocation.base_estimate,
         "total_funded": allocation.total_funded,
         "total_contingency": allocation.total_contingency,
         "note": allocation.note,
         "tiers": [asdict(tranche) for tranche in allocation.tranches],
     }
-
-
-def write_allocation_json(allocation: TierAllocation, sink: IO[str]) -> None:
-    json.dump(allocation_as_dict(allocation), sink, indent=2, sort_keys=True)
+    json.dump(payload, sink, indent=2, sort_keys=True)
     sink.write("\n")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import EmptyClassError, InsufficientDataError, NonMonotoneCurveError
+from .errors import EmptyClassError, InsufficientDataError
 from .normalization import OverrunObservation
 from .registry import DEFAULT_DEGREE, DEFAULT_GRID_STEP, DEFAULT_METHOD, DEFAULT_MIN_OUTTURN
 from .registry import DEFAULT_SPAN, MAX_GRID_STEP, MIN_GRID_STEP, Metric, QuantileMethod, Stage
@@ -308,13 +308,6 @@ def isotonic_adjust(curve: UpliftCurve) -> UpliftCurve:
         for (p, _, lo, hi), fit in zip(curve.smoothed, adjusted)
     )
     return replace(curve, smoothed=smoothed)
-
-
-def require_monotone(curve: UpliftCurve) -> None:
-    if not curve.monotone:
-        raise NonMonotoneCurveError(
-            "uplift curve is not monotone; apply isotonic adjustment before allocating from it"
-        )
 
 
 @dataclass(frozen=True, slots=True)

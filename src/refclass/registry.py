@@ -200,16 +200,14 @@ class DeflatorSeries:
                 )
         return cls(start_year=years[0], values=values)
 
-    def covers(self, year: int) -> bool:
-        return self.start_year <= year < self.start_year + len(self.values)
-
     def index(self, year: int) -> float:
-        if not self.covers(year):
+        offset = year - self.start_year
+        if not 0 <= offset < len(self.values):
             last = self.start_year + len(self.values) - 1
             raise DeflatorCoverageError(
                 f"year {year} outside deflator coverage {self.start_year}-{last}"
             )
-        return self.values[year - self.start_year]
+        return self.values[offset]
 
 
 # A numeric benchmark constant's field metadata: the JSON kind the file must

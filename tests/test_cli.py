@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import dataclasses
@@ -357,8 +358,11 @@ def test_usage_errors_exit_1(table2_paths, tmp_path, capsys):
 
     no_equals = tmp_path / "no_equals.conf"
     no_equals.write_text("# a comment\nspan\n")
+    twice = tmp_path / "twice.conf"
+    twice.write_text(f"projects = /nonexistent.csv\nspan = 0.5\n\nprojects = {table2_paths['projects']}\n")
     for bad, message in (
         (["uplift", "--config", str(no_equals)], "config line 2: expected key = value"),
+        (["uplift", "--config", str(twice)], "config line 4: projects already set on line 1"),
         (["tiers", "--base", "100", "--scheme", "a0.5"], "tier 'a0.5' is not name:certainty"),
         (["tiers", "--base", "100", "--scheme", "a:x"], "tier 'a:x' has a non-numeric certainty"),
     ):
@@ -723,7 +727,7 @@ _LIBRARY_DEFAULTS = {
     "min_outturn": ("DEFAULT_MIN_OUTTURN", {"min_outturn"}, {"reference_class.ClassFilter"}),
     "method": ("DEFAULT_METHOD", {"method"}, {
         "reference_class.uplift", "reference_class.required_certainty", "reference_class.uplift_curve",
-        "validation.leave_one_out", "contingency.debias_estimate", "contingency.portfolio_pool"}),
+        "validation.leave_one_out", "contingency.portfolio_pool"}),
     "span": ("DEFAULT_SPAN", {"span"}, {
         "reference_class.smooth_curve", "reference_class.trend_by_date", "smoothing.loess_smooth"}),
     "degree": ("DEFAULT_DEGREE", {"degree"}, {
@@ -1079,6 +1083,15 @@ def test_config_file_and_flag_precedence(table2_paths, tmp_path, capsys):
     assert code == 0
     assert "0.50,0.160000" in stdout
 
+    # Excel's "CSV UTF-8" starts a file with a byte-order mark; it changes no byte out.
+    bom = tmp_path / "bom.conf"
+    bom.write_bytes(codecs.BOM_UTF8 + config.read_bytes())
+    written = tmp_path / "out" / "uplift_C_cost.csv"
+    for given in ([], ["--min-outturn", "1"]):
+        runs = [(run(capsys, "uplift", "--config", str(path), "--stage", "C", "--metric", "cost", *given),
+                 written.read_bytes() if written.exists() else None) for path in (config, bom)]
+        assert runs[0] == runs[1], given
+
 
 def test_era_cutoff_changes_pre_era_flags(demo_paths, tmp_path, capsys):
     args = [
@@ -1171,24 +1184,74 @@ SHIPPED_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(SHIPPED_GOLDEN))
-def test_shipped_data_outputs_are_byte_stable(command, tmp_path, capsys):
-    argv, stdout_digest, file_digests = SHIPPED_GOLDEN[command]
-    out = tmp_path / "out"
-    code, stdout, _ = run(
+def _shipped_run(capsys, argv, data: Path, out: Path):
+    """Exit code, stdout, stderr and every file written under ``out`` of one
+    command of SHIPPED_GOLDEN, on the input files in ``data``."""
+
+    code, stdout, err = run(
         capsys,
-        *argv,
+        *(arg.replace(str(SHIPPED_DATA), str(data)) for arg in argv),
         "--projects",
-        str(SHIPPED_DATA / "projects.csv"),
+        str(data / "projects.csv"),
         "--deflators",
-        str(SHIPPED_DATA / "deflators.csv"),
+        str(data / "deflators.csv"),
         "--out",
         str(out),
     )
+    written = sorted(out.iterdir()) if out.exists() else []
+    return code, stdout, err, {p.name: p.read_bytes() for p in written}
+
+
+def _copy_shipped(directory: Path, edit) -> Path:
+    """Copies of the three shipped input files, each passed through ``edit(name, data)``."""
+
+    directory.mkdir()
+    for name in ("projects.csv", "deflators.csv", "benchmark.json"):
+        (directory / name).write_bytes(edit(name, (SHIPPED_DATA / name).read_bytes()))
+    return directory
+
+
+@pytest.mark.parametrize("command", sorted(SHIPPED_GOLDEN))
+def test_shipped_data_outputs_are_byte_stable(command, tmp_path, capsys):
+    argv, stdout_digest, file_digests = SHIPPED_GOLDEN[command]
+    shipped = _shipped_run(capsys, argv, SHIPPED_DATA, tmp_path / "out")
+    code, stdout, _, written = shipped
     assert code == 0
     assert sha256(stdout.encode()).hexdigest() == stdout_digest
-    written = sorted(out.iterdir()) if out.exists() else []
-    assert {p.name: sha256(p.read_bytes()).hexdigest() for p in written} == file_digests
+    assert {name: sha256(data).hexdigest() for name, data in written.items()} == file_digests
+    # Excel's "CSV UTF-8" starts each file with a byte-order mark; it changes no byte out.
+    bom = _copy_shipped(tmp_path / "bom", lambda name, data: codecs.BOM_UTF8 + data)
+    assert _shipped_run(capsys, argv, bom, tmp_path / "bom-out") == shipped
+
+
+def _reverse_rows(name: str, data: bytes) -> bytes:
+    if name != "projects.csv":
+        return data
+    header, *rows = data.splitlines(keepends=True)
+    return header + b"".join(reversed(rows))
+
+
+#: These list projects in input order, so their lines are compared sorted.
+_LISTS_PROJECTS = {"overruns", "validate"}
+
+
+@pytest.mark.parametrize("command, output", [
+    pytest.param(command, output, marks=[pytest.mark.xfail(
+        strict=True, reason="mean_duration_years is a plain float sum, so it depends on the row order",
+    )] if output == "benchmark.json" else [])
+    for command, (_, _, files) in sorted(SHIPPED_GOLDEN.items())
+    for output in ("stdout", *files)
+])
+def test_row_order_changes_no_answer(command, output, tmp_path, capsys):
+    argv = SHIPPED_GOLDEN[command][0]
+    reversed_rows = _copy_shipped(tmp_path / "reversed", _reverse_rows)
+
+    def answer(data, out):
+        code, stdout, err, written = _shipped_run(capsys, argv, data, out)
+        text = stdout.encode() if output == "stdout" else written[output]
+        return code, err, sorted(text.splitlines()) if command in _LISTS_PROJECTS else text
+
+    assert answer(reversed_rows, tmp_path / "reversed-out") == answer(SHIPPED_DATA, tmp_path / "out")
 
 
 @pytest.mark.parametrize("command", ["overruns", "uplift", "benchmark", "check"])

@@ -8,13 +8,11 @@ from refclass.contingency import (
     DEFAULT_TIER_SCHEME,
     PortfolioPool,
     TierScheme,
-    allocation_as_dict,
-    debias_estimate,
     portfolio_pool,
     tier_allocation,
     write_allocation_json,
 )
-from refclass.errors import NonMonotoneCurveError
+from refclass.errors import EmptyClassError, NonMonotoneCurveError
 from refclass.formatting import round_half_away
 from refclass.reference_class import QuantileMethod, ReferenceClass, UpliftCurve
 
@@ -28,20 +26,35 @@ def _class(values):
     return ReferenceClass.from_values(values)
 
 
+def _funded(base, reference, p, method=QuantileMethod.INTERPOLATED):
+    """The base lifted to certainty p, as portfolio_pool funds each project."""
+
+    (funded,) = portfolio_pool([base], reference, p, p, method).per_project_funded
+    return funded
+
+
 def test_debias_examples(table2_class):
     skewed = _class([0.13, 0.13, 0.13, 0.44, 0.44])
-    assert debias_estimate(100, skewed, 0.8) == 144
-    assert debias_estimate(100, skewed, 0.5) == 113
-    assert debias_estimate(100, _class([0.0] * 4), 0.8) == 100
-    assert debias_estimate(100, table2_class, 0.5) == 116
-    assert debias_estimate(100, table2_class, 0.5, QuantileMethod.INF) == 114
+    assert _funded(100, skewed, 0.8) == 144
+    assert _funded(100, skewed, 0.5) == 113
+    assert _funded(100, _class([0.0] * 4), 0.8) == 100
+    assert _funded(100, table2_class, 0.5) == 116
+    assert _funded(100, table2_class, 0.5, QuantileMethod.INF) == 114
 
 
 def test_debias_rejects_non_positive_base(table2_class):
-    with pytest.raises(ValueError):
-        debias_estimate(0, table2_class, 0.5)
-    with pytest.raises(ValueError):
-        debias_estimate(-100, table2_class, 0.5)
+    for base in (0, -100):
+        with pytest.raises(ValueError, match=f"^base estimate must be positive, got {base}$"):
+            _funded(base, table2_class, 0.5)
+    # The first non-positive base is the one named.
+    with pytest.raises(ValueError, match="^base estimate must be positive, got -3$"):
+        portfolio_pool([100, -3, 0], table2_class, 0.5, 0.8)
+    # The first base is checked before the class, the other bases after it.
+    empty = _class([])
+    with pytest.raises(ValueError, match="^base estimate must be positive, got 0$"):
+        portfolio_pool([0, 100], empty, 0.5, 0.8)
+    with pytest.raises(EmptyClassError):
+        portfolio_pool([100, 0], empty, 0.5, 0.8)
 
 
 def test_three_tier_illustration():
@@ -140,7 +153,7 @@ def test_portfolio_pool_example():
     assert pool.per_project_funded == (113, 113)
     assert pool.pooled_reserve == 62
     assert pool.total_funded == 288
-    assert pool.total_funded == sum(debias_estimate(b, reference, 0.8) for b in (100, 100))
+    assert pool.total_funded == sum(_funded(b, reference, 0.8) for b in (100, 100))
 
 
 def test_portfolio_pool_zero_gap():
@@ -165,16 +178,15 @@ def test_portfolio_pool_validation(table2_class):
 
 def test_allocation_dict_and_json():
     allocation = tier_allocation(100, ILLUSTRATION_CURVE, DEFAULT_TIER_SCHEME)
-    payload = allocation_as_dict(allocation)
+    buffer = io.StringIO()
+    write_allocation_json(allocation, buffer)
+    payload = json.loads(buffer.getvalue())
     assert payload["base_estimate"] == 100
     assert payload["total_funded"] == 140
     assert payload["total_contingency"] == 40
     assert [tier["tranche_amount"] for tier in payload["tiers"]] == [10, 10, 20]
     assert [tier["name"] for tier in payload["tiers"]] == ["contract", "project", "portfolio"]
 
-    buffer = io.StringIO()
-    write_allocation_json(allocation, buffer)
-    assert json.loads(buffer.getvalue()) == payload
     again = io.StringIO()
     write_allocation_json(allocation, again)
     assert again.getvalue() == buffer.getvalue()

@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 
 import corpus
 import oracles
-from refclass.contingency import debias_estimate, portfolio_pool
+from refclass.contingency import portfolio_pool
 from refclass.errors import EmptyClassError
 from refclass.reference_class import (
     QuantileMethod,
@@ -82,7 +82,6 @@ def test_every_uplift_of_an_empty_class_is_refused():
         lambda: uplift(empty, 0.5),
         lambda: required_certainty(empty, 0.1),
         lambda: uplift_curve(empty),
-        lambda: debias_estimate(100, empty, 0.5),
         lambda: portfolio_pool([100], empty, 0.5, 0.8),
     ):
         with pytest.raises(EmptyClassError):

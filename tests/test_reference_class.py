@@ -19,7 +19,6 @@ from refclass.reference_class import (
     build_class,
     default_probability_grid,
     isotonic_adjust,
-    require_monotone,
     smooth_curve,
     trend_by_date,
     uplift_curve,
@@ -83,12 +82,12 @@ def test_smooth_curve_can_go_non_monotone_and_adjustment_repairs_it():
     raw = uplift_curve(reference, default_probability_grid(), QuantileMethod.INTERPOLATED)
     wiggly = smooth_curve(raw, span=0.2, degree=2)
     assert not wiggly.monotone
-    with pytest.raises(NonMonotoneCurveError):
-        require_monotone(wiggly)
+    with pytest.raises(NonMonotoneCurveError, match="^uplift curve is not monotone; apply isotonic"):
+        tier_allocation(100, wiggly, DEFAULT_TIER_SCHEME)
 
     repaired = isotonic_adjust(wiggly)
     assert repaired.monotone
-    require_monotone(repaired)
+    tier_allocation(100, repaired, DEFAULT_TIER_SCHEME)
     fits = [fit for _, fit, _, _ in repaired.smoothed]
     assert all(a <= b + 1e-12 for a, b in zip(fits, fits[1:]))
     for (_, fit, lo, hi) in repaired.smoothed:
