@@ -533,8 +533,10 @@ def main(argv: list[str] | None = None) -> int:
         result = cli.main(args=argv, prog_name="refclass", standalone_mode=False)
         if isinstance(result, int):
             return result
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
+    except click.Abort:
+        # Click turns Ctrl-C into Abort; 130 is 128 + SIGINT.
+        print("Aborted!", file=sys.stderr)
+        return 130
     except click.ClickException as exc:
         exc.show()
         return 1

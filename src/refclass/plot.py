@@ -128,15 +128,12 @@ def curve_svg(
         )
 
     # raw step curve
-    if raw:
-        p0, v0 = raw[0]
-        path = [f"M {_fmt(sx(p0))} {_fmt(sy(v0))}"]
-        for p, v in raw[1:]:
-            path.append(f"H {_fmt(sx(p))}")
-            path.append(f"V {_fmt(sy(v))}")
-        parts.append(
-            f'<path d="{" ".join(path)}" fill="none" stroke="{_COLORS["raw"]}" stroke-width="1.5"/>'
-        )
+    p0, v0 = raw[0]
+    path = [f"M {_fmt(sx(p0))} {_fmt(sy(v0))}"]
+    for p, v in raw[1:]:
+        path.append(f"H {_fmt(sx(p))}")
+        path.append(f"V {_fmt(sy(v))}")
+    parts.append(f'<path d="{" ".join(path)}" fill="none" stroke="{_COLORS["raw"]}" stroke-width="1.5"/>')
 
     # smoothed line
     if smoothed:

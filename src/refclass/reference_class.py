@@ -264,11 +264,9 @@ class UpliftCurve:
 
 def uplift_curve(
     reference: ReferenceClass,
-    grid: Sequence[float] | None = None,
+    grid: Sequence[float],
     method: QuantileMethod = DEFAULT_METHOD,
 ) -> UpliftCurve:
-    if grid is None:
-        grid = default_probability_grid()
     if not grid:
         raise ValueError("probability grid is empty")
     ordered = sorted(grid)
@@ -330,11 +328,7 @@ class TrendShift:
     test: TestResult | None
 
 
-def trend_by_date(
-    observations: Iterable[OverrunObservation],
-    span: float = DEFAULT_SPAN,
-    degree: int = DEFAULT_DEGREE,
-) -> tuple[list[TrendPoint], TrendShift]:
+def trend_by_date(observations: Iterable[OverrunObservation]) -> tuple[list[TrendPoint], TrendShift]:
     """Loess trend of overruns over their reference dates, plus a
     rank-tested comparison of the pre-era observations with the rest."""
 
@@ -360,7 +354,7 @@ def trend_by_date(
             days = date(year + 1, 1, 1).toordinal() - start
         x.append(year + (d.toordinal() - start) / days)
     values = [o.value for o in dated]
-    fits, lows, highs = _loess_sorted(x, values, span, degree)
+    fits, lows, highs = _loess_sorted(x, values, DEFAULT_SPAN, DEFAULT_DEGREE)
     trend = [
         TrendPoint(o.reference_date, fit, low, high)
         for o, fit, low, high in zip(dated, fits.tolist(), lows.tolist(), highs.tolist())

@@ -157,7 +157,6 @@ class Violation:
 
     code: str
     message: str
-    stage: Stage | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -354,8 +353,8 @@ def validate_record(record: ProjectRecord) -> list[Violation]:
 
     problems: list[Violation] = []
 
-    def report(code: str, message: str, stage: Stage | None = None) -> None:
-        problems.append(Violation(code, f"{record.id}: {message}", stage=stage))
+    def report(code: str, message: str) -> None:
+        problems.append(Violation(code, f"{record.id}: {message}"))
 
     if record.actual_completion is None:
         report("missing-completion", "actual completion date is missing")
@@ -367,7 +366,7 @@ def validate_record(record: ProjectRecord) -> list[Violation]:
     dated = [(s, record.stages[s].upgrade_date) for s in _STAGES if record.stages[s].upgrade_date is not None]
     for (s0, d0), (s1, d1) in zip(dated, dated[1:]):
         if d1 < d0:
-            report("stage-order", f"{s1} upgrade ({d1.isoformat()}) precedes {s0} upgrade ({d0.isoformat()})", s1)
+            report("stage-order", f"{s1} upgrade ({d1.isoformat()}) precedes {s0} upgrade ({d0.isoformat()})")
 
     for stage in _STAGES:
         est = record.stages[stage]
@@ -377,24 +376,23 @@ def validate_record(record: ProjectRecord) -> list[Violation]:
             ("approved", est.approved, 1),
         ):
             if amount is not None and amount < floor:
-                report("non-positive-money",
-                       f"{label} at Category {stage} must be at least {floor}, got {amount}", stage)
+                report("non-positive-money", f"{label} at Category {stage} must be at least {floor}, got {amount}")
         if est.base is not None and est.price_level_year is None:
-            report("missing-price-year", f"base estimate at Category {stage} has no price-level year", stage)
+            report("missing-price-year", f"base estimate at Category {stage} has no price-level year")
         if est.base is not None and est.contingency is not None and est.approved is not None:
             expected = est.base + est.contingency
             if expected > 0 and abs(est.approved - expected) > CONSISTENCY_TOLERANCE * expected:
                 report("estimate-consistency", f"Category {stage} approved estimate {est.approved} differs from "
-                       f"base + contingency = {expected} by more than {CONSISTENCY_TOLERANCE:.1%}", stage)
+                       f"base + contingency = {expected} by more than {CONSISTENCY_TOLERANCE:.1%}")
         if est.upgrade_date is None:
             continue
         if record.actual_completion is not None and record.actual_completion < est.upgrade_date:
             report("completion-before-upgrade", f"actual completion {record.actual_completion.isoformat()} "
-                   f"precedes Category {stage} upgrade {est.upgrade_date.isoformat()}", stage)
+                   f"precedes Category {stage} upgrade {est.upgrade_date.isoformat()}")
         if est.planned_completion is not None and est.planned_completion <= est.upgrade_date:
             report("non-positive-planned-duration", f"Category {stage} planned completion "
                    f"{est.planned_completion.isoformat()} does not follow the upgrade date "
-                   f"{est.upgrade_date.isoformat()}", stage)
+                   f"{est.upgrade_date.isoformat()}")
 
     if record.disbursements is not None:
         for year, amount in sorted(record.disbursements.items()):

@@ -13,7 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from datetime import date
+from datetime import date, timedelta
 from hashlib import sha256
 from importlib import import_module
 from pathlib import Path
@@ -26,9 +26,12 @@ import corpus
 import refclass
 from refclass.cli import _SETTINGS, _parse_p_list, _parse_scheme, cli, main
 from refclass.contingency import TierScheme
+from refclass.normalization import derive_observations
 from refclass.reference_class import default_probability_grid, rank_position
 from refclass.registry import (
     DEFAULT_DEGREE,
+    DEFAULT_ERA_CUTOFF,
+    DEFAULT_MIN_OUTTURN,
     DEFAULT_SPAN,
     LOESS_MIN_POINTS,
     MAX_GRID_STEP,
@@ -37,7 +40,9 @@ from refclass.registry import (
     QuantileMethod,
     Stage,
     StageEstimate,
+    parse_deflator_series,
     parse_project_records,
+    validate_record,
     write_project_records,
 )
 from refclass.smoothing import _loess_sorted
@@ -729,9 +734,9 @@ _LIBRARY_DEFAULTS = {
         "reference_class.uplift", "reference_class.required_certainty", "reference_class.uplift_curve",
         "validation.leave_one_out", "contingency.portfolio_pool"}),
     "span": ("DEFAULT_SPAN", {"span"}, {
-        "reference_class.smooth_curve", "reference_class.trend_by_date", "smoothing.loess_smooth"}),
+        "reference_class.smooth_curve", "smoothing.loess_smooth"}),
     "degree": ("DEFAULT_DEGREE", {"degree"}, {
-        "reference_class.smooth_curve", "reference_class.trend_by_date", "smoothing.loess_smooth"}),
+        "reference_class.smooth_curve", "smoothing.loess_smooth"}),
     "grid_step": ("DEFAULT_GRID_STEP", {"step"}, {"reference_class.default_probability_grid"}),
 }
 
@@ -1254,6 +1259,135 @@ def test_row_order_changes_no_answer(command, output, tmp_path, capsys):
     assert answer(reversed_rows, tmp_path / "reversed-out") == answer(SHIPPED_DATA, tmp_path / "out")
 
 
+def _run_quietly(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process run, without capsys
+    (hypothesis tests take no function-scoped fixture)."""
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _answers(directory: Path, runs) -> dict:
+    """Each run's exit code, stdout, stderr and written files, on the inputs in ``directory``."""
+
+    answers = {}
+    for name, argv in runs.items():
+        out = directory / f"out-{name}"
+        code, stdout, err = _run_quietly([*argv, "--projects", str(directory / "projects.csv"),
+                                          "--deflators", str(directory / "deflators.csv"), "--out", str(out)])
+        written = sorted(out.iterdir()) if out.exists() else []
+        answers[name] = code, stdout, err, {p.name: p.read_bytes() for p in written}
+    return answers
+
+
+_EVERY_CLASS_RUNS = {
+    f"{command}-{stage}-{metric}": [command, "--stage", stage, "--metric", metric, *options]
+    for command, options in {"uplift": ["--smooth", "--method", "both"], "validate": [], "curve": [],
+                             "tiers": ["--base", "100000"]}.items()
+    for stage in "CBA"
+    for metric in ("cost", "schedule")
+}
+
+
+def _write_registry(directory: Path, records) -> None:
+    with open(directory / "projects.csv", "w", newline="") as handle:
+        write_project_records(records, handle)
+    (directory / "deflators.csv").write_text(corpus.demo_deflator_csv(1990, 2012))
+
+
+def _outturn_below_floor(record: ProjectRecord, outturn: int) -> ProjectRecord:
+    """The record with a smaller outturn, its disbursements scaled to sum to it."""
+
+    years = sorted(record.disbursements)
+    spent = {year: round(record.disbursements[year] * outturn / record.outturn_nominal) for year in years[:-1]}
+    spent[years[-1]] = outturn - sum(spent.values())
+    return dataclasses.replace(record, outturn_nominal=outturn, disbursements=spent)
+
+
+def _dated_before_era(record: ProjectRecord, days: int) -> ProjectRecord:
+    """The record with its Category C date moved ``days`` before the era cutoff."""
+
+    stages = dict(record.stages)
+    stages[Stage.C] = dataclasses.replace(stages[Stage.C], upgrade_date=DEFAULT_ERA_CUTOFF - timedelta(days=days))
+    return dataclasses.replace(record, stages=stages)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_a_project_the_class_filter_drops_changes_no_byte(n, seed, data):
+    records = corpus.synthetic_records(n, seed)
+    drawn = dataclasses.replace(records[data.draw(st.integers(0, n - 1))], id="copy")
+    copies = {
+        "low-outturn": _outturn_below_floor(drawn, data.draw(st.integers(1_000, DEFAULT_MIN_OUTTURN - 1))),
+        "pre-era": _dated_before_era(drawn, data.draw(st.integers(1, 1_000))),
+    }
+    series = parse_deflator_series(io.StringIO(corpus.demo_deflator_csv(1990, 2012)))
+    at = data.draw(st.integers(0, n))
+    with tempfile.TemporaryDirectory() as directory:
+        _write_registry(Path(directory), records)
+        expected = _answers(Path(directory), _EVERY_CLASS_RUNS)
+        for variant, copy in copies.items():
+            # A valid record the deflators price, and one no class keeps.
+            assert validate_record(copy) == [], variant
+            observations = derive_observations(copy, series)
+            assert all(o.pre_era or o.outturn_nominal < DEFAULT_MIN_OUTTURN for o in observations), variant
+            path = Path(directory, variant)
+            path.mkdir()
+            _write_registry(path, [*records[:at], copy, *records[at:]])
+            assert _answers(path, _EVERY_CLASS_RUNS) == expected, variant
+
+
+_ID_RUNS = {command: argv for command, (argv, _, _) in SHIPPED_GOLDEN.items()}
+#: These write one row per project, led by its id.
+_WRITES_IDS = {"overruns", "validate"}
+
+
+def _ids_mapped(text: str, renames: dict[str, str]) -> str:
+    """``text`` with the first cell of each CSV line renamed, where ``renames`` names it."""
+
+    lines = []
+    for line in text.splitlines(keepends=True):
+        first, comma, rest = line.partition(",")
+        lines.append(renames.get(first, first) + comma + rest)
+    return "".join(lines)
+
+
+_SHIPPED_IDS = [line.partition(",")[0] for line in (SHIPPED_DATA / "projects.csv").read_text().splitlines()[1:]]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(ids=st.lists(st.text("ABCXYZabcxyz0123456789_.-", min_size=1, max_size=12),
+                    min_size=len(_SHIPPED_IDS), max_size=len(_SHIPPED_IDS), unique=True))
+def test_renaming_project_ids_changes_only_id_cells(ids):
+    renames = dict(zip(_SHIPPED_IDS, ids))
+    back = {new: old for old, new in renames.items()}
+    with tempfile.TemporaryDirectory() as directory:
+        expected = _answers(_copy_shipped(Path(directory, "shipped"), lambda name, data: data), _ID_RUNS)
+        renamed = _copy_shipped(Path(directory, "renamed"), lambda name, data: (
+            _ids_mapped(data.decode(), renames).encode() if name == "projects.csv" else data))
+        answers = _answers(renamed, _ID_RUNS)
+    assert {code for code, _, _, _ in expected.values()} == {0}
+    for command in _WRITES_IDS:
+        code, stdout, err, written = answers[command]
+        answers[command] = code, _ids_mapped(stdout, back), err, {
+            name: _ids_mapped(data.decode(), back).encode() for name, data in written.items()}
+    assert answers == expected
+
+
+def test_an_interrupt_exits_130_without_a_traceback(table2_paths, tmp_path, capsys, monkeypatch):
+    # Click turns a KeyboardInterrupt inside a command into Abort.
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("refclass.cli._observations", interrupted)
+    code, out, err = run(capsys, "uplift", "--stage", "C", "--metric", "cost", *base_args(table2_paths, tmp_path))
+    assert (code, out) == (130, "")
+    assert err.splitlines()[-1] == "Aborted!"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["overruns", "uplift", "benchmark", "check"])
 def test_a_deflator_gap_names_the_project_and_stage(command, tmp_path, capsys):
     cut = tmp_path / "deflators.csv"  # the shipped series up to 1994
@@ -1374,10 +1508,7 @@ def test_corrupted_inputs_never_end_in_a_traceback(corruption):
         os.chdir(directory)
         try:
             for argv, _ in _COMMAND_MODULES.values():
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = main([*argv, "--config", "run.conf"])
-                out, err = stdout.getvalue(), stderr.getvalue()
+                code, out, err = _run_quietly([*argv, "--config", "run.conf"])
                 assert code in {0, 1, 2, 3, 4}, (argv, code, err)
                 assert "Traceback" not in out + err, argv
                 if argv == ["check"] and code == 2 and not err:

@@ -81,7 +81,7 @@ def test_every_uplift_of_an_empty_class_is_refused():
     for read in (
         lambda: uplift(empty, 0.5),
         lambda: required_certainty(empty, 0.1),
-        lambda: uplift_curve(empty),
+        lambda: uplift_curve(empty, default_probability_grid()),
         lambda: portfolio_pool([100], empty, 0.5, 0.8),
     ):
         with pytest.raises(EmptyClassError):

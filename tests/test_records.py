@@ -12,7 +12,7 @@ import refclass
 from refclass.benchmarking import benchmark_report, phase_breakdown
 from refclass.contingency import DEFAULT_TIER_SCHEME, portfolio_pool, tier_allocation
 from refclass.normalization import derive_all_observations
-from refclass.reference_class import ClassFilter, build_class, trend_by_date, uplift_curve
+from refclass.reference_class import ClassFilter, build_class, default_probability_grid, trend_by_date, uplift_curve
 from refclass.registry import Metric, Stage, Violation, parse_deflator_series
 from refclass.stats import descriptive_stats
 from refclass.validation import leave_one_out, loov_summary
@@ -39,7 +39,7 @@ def _one_of_each() -> list:
     series = parse_deflator_series(io.StringIO(corpus.demo_deflator_csv()))
     observations = derive_all_observations(records, series)
     reference = build_class(observations, ClassFilter(Stage.C, Metric.COST, exclude_pre_era=False))
-    curve = uplift_curve(reference)
+    curve = uplift_curve(reference, default_probability_grid())
     trend, shift = trend_by_date(reference.entries)
     rows = leave_one_out(reference)
     report = benchmark_report({(Stage.C, Metric.COST): reference}, constants=corpus.ROADS,

@@ -118,7 +118,7 @@ def test_inconsistent_approved_estimate_names_stage():
     codes = [v.code for v in reports["p1"]]
     assert "estimate-consistency" in codes
     violation = next(v for v in reports["p1"] if v.code == "estimate-consistency")
-    assert violation.stage is Stage.C
+    assert "Category C" in violation.message
 
 
 def test_malformed_cell_reports_row_and_column():
@@ -367,39 +367,39 @@ def test_validate_record_disbursement_sum_mismatch():
     "fields, expected",
     [
         (dict(actual_completion=None),
-         ("missing-completion", "t1: actual completion date is missing", None)),
+         ("missing-completion", "t1: actual completion date is missing")),
         (dict(outturn_nominal=None),
-         ("missing-outturn", "t1: nominal outturn is missing", None)),
+         ("missing-outturn", "t1: nominal outturn is missing")),
         (dict(outturn_nominal=0),
-         ("non-positive-outturn", "t1: outturn must be positive, got 0", None)),
+         ("non-positive-outturn", "t1: outturn must be positive, got 0")),
         (dict(stages={Stage.C: StageEstimate(upgrade_date=date(1999, 1, 1)),
                       Stage.B: StageEstimate(upgrade_date=date(1998, 1, 1))}),
-         ("stage-order", "t1: B upgrade (1998-01-01) precedes C upgrade (1999-01-01)", Stage.B)),
+         ("stage-order", "t1: B upgrade (1998-01-01) precedes C upgrade (1999-01-01)")),
         (dict(stages={Stage.A: StageEstimate(contingency=-1)}),
-         ("non-positive-money", "t1: contingency at Category A must be at least 0, got -1", Stage.A)),
+         ("non-positive-money", "t1: contingency at Category A must be at least 0, got -1")),
         (dict(stages={Stage.B: StageEstimate(base=10, price_level_year=2000, approved=0)}),
-         ("non-positive-money", "t1: approved at Category B must be at least 1, got 0", Stage.B)),
+         ("non-positive-money", "t1: approved at Category B must be at least 1, got 0")),
         (dict(stages={Stage.C: StageEstimate(base=10)}),
-         ("missing-price-year", "t1: base estimate at Category C has no price-level year", Stage.C)),
+         ("missing-price-year", "t1: base estimate at Category C has no price-level year")),
         (dict(stages={Stage.C: StageEstimate(base=100, contingency=10, approved=120, price_level_year=2000)}),
          ("estimate-consistency", "t1: Category C approved estimate 120 differs from "
-          "base + contingency = 110 by more than 0.5%", Stage.C)),
+          "base + contingency = 110 by more than 0.5%")),
         (dict(stages={Stage.A: StageEstimate(upgrade_date=date(2002, 1, 1))}),
          ("completion-before-upgrade", "t1: actual completion 2001-06-30 precedes "
-          "Category A upgrade 2002-01-01", Stage.A)),
+          "Category A upgrade 2002-01-01")),
         (dict(stages={Stage.B: StageEstimate(upgrade_date=date(1999, 1, 1),
                                              planned_completion=date(1999, 1, 1))}),
          ("non-positive-planned-duration", "t1: Category B planned completion 1999-01-01 "
-          "does not follow the upgrade date 1999-01-01", Stage.B)),
+          "does not follow the upgrade date 1999-01-01")),
         (dict(disbursements={1999: 0, 2000: 100}),
-         ("non-positive-disbursement", "t1: disbursement for 1999 must be positive, got 0", None)),
+         ("non-positive-disbursement", "t1: disbursement for 1999 must be positive, got 0")),
         (dict(disbursements={2000: 90}),
-         ("disbursement-sum", "t1: disbursements sum to 90, outturn is 100 (difference exceeds 0.5%)", None)),
+         ("disbursement-sum", "t1: disbursements sum to 90, outturn is 100 (difference exceeds 0.5%)")),
     ],
 )
 def test_validate_record_reports_each_code_exactly(fields, expected):
     report = validate_record(_bare_record(**fields))
-    assert [(v.code, v.message, v.stage) for v in report] == [expected]
+    assert [(v.code, v.message) for v in report] == [expected]
 
 
 def test_validate_record_total_on_garbage():

@@ -13,7 +13,7 @@ import oracles
 from refclass import smoothing
 from refclass.normalization import OverrunObservation
 from refclass.reference_class import trend_by_date
-from refclass.registry import Metric, Stage
+from refclass.registry import DEFAULT_DEGREE, DEFAULT_SPAN, Metric, Stage
 from refclass.smoothing import loess_smooth, pool_adjacent_violators
 
 
@@ -283,10 +283,10 @@ dated_observations = st.integers(1, 400).flatmap(
 _TREND_TIES = [((37 * k) % 200, (k % 11) / 10) for k in range(300)]
 
 
-@given(drawn=dated_observations, span=spans, degree=degrees)
-@example(drawn=(_TREND_TIES, _TREND_START + timedelta(days=100)), span=0.3, degree=2)
-@example(drawn=(_TREND_TIES, _TREND_START), span=0.75, degree=1)
-def test_trend_by_date_equals_public_loess_path(drawn, span, degree):
+@given(drawn=dated_observations)
+@example(drawn=(_TREND_TIES, _TREND_START + timedelta(days=100)))
+@example(drawn=(_TREND_TIES, _TREND_START))
+def test_trend_by_date_equals_public_loess_path(drawn):
     offsets, cutoff = drawn
     # Ids out of input order, so same-day observations are reordered. The
     # era flags follow the dates, so the flag split is the date split.
@@ -295,8 +295,10 @@ def test_trend_by_date_equals_public_loess_path(drawn, span, degree):
         reference_date = _TREND_START + timedelta(days=day)
         observations.append(OverrunObservation(f"p{(7 * k) % 401:03d}", Stage.C, Metric.COST, value,
                                                reference_date, reference_date < cutoff, 500_000))
-    assert trend_by_date(observations, span, degree) == oracles.trend_by_date(
-        observations, cutoff, span, degree
+    # The trend fits at the package defaults; other spans and degrees are
+    # covered by the loess tests above.
+    assert trend_by_date(observations) == oracles.trend_by_date(
+        observations, cutoff, DEFAULT_SPAN, DEFAULT_DEGREE
     )
 
 
